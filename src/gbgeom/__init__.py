@@ -40,7 +40,6 @@ from .conoid import (
 from .division import DivisionResult, multivariate_divide, normal_form
 from .groebner import (
     GroebnerBasis,
-    IdealSpec,
     buchberger,
     is_groebner,
     minimalize,
@@ -58,21 +57,19 @@ from .planarity import (
     scan_linear,
 )
 from .polynomials import (
-    LEX,
+    RENDER_MODES,
     Monomial,
-    MonomialOrder,
     Polynomial,
     Term,
     VarContext,
     clear_denominators,
     coefficient_of,
-    compare_monomials,
     leading_parts,
     monomial_gcd,
     monomial_lcm,
+    render,
     substitute,
 )
-from .rendering import RENDER_MODES, render
 
 __version__ = "0.1.0"
 
@@ -85,11 +82,8 @@ __all__ = [
     "ConoidVerdict",
     "DivisionResult",
     "GroebnerBasis",
-    "IdealSpec",
-    "LEX",
     "LTMembershipReport",
     "Monomial",
-    "MonomialOrder",
     "ParamFraction",
     "ParamPoly",
     "ParseError",
@@ -107,7 +101,6 @@ __all__ = [
     "buchberger",
     "clear_denominators",
     "coefficient_of",
-    "compare_monomials",
     "conic_constraint_basis",
     "conic_constraints",
     "conoid_surface",

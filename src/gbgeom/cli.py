@@ -23,20 +23,21 @@ import json
 import sys
 from fractions import Fraction
 
+from .coefficients import _monomial_str
 from .conoid import (
     AXES,
+    CONSTRAINT_MONOMIALS,
     ConoidParams,
+    _verified_families,
     axis_section,
     conic_constraints,
     final_verdict,
-    solve_conic_constraints,
 )
 from .division import multivariate_divide
-from .groebner import GroebnerBasis, IdealSpec, reduced_basis
+from .groebner import GroebnerBasis, reduced_basis
 from .parsing import ParseError, SystemFile, parse_expression, read_system
 from .planarity import detect_planes
-from .polynomials import Polynomial, VarContext, clear_denominators
-from .rendering import render
+from .polynomials import Polynomial, VarContext, clear_denominators, render
 
 __all__ = ["build_parser", "main", "run_command"]
 
@@ -85,7 +86,7 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_basis(args) -> int:
     ctx, system = _load_system(args)
-    basis = reduced_basis(IdealSpec(ctx, tuple(system)))
+    basis = reduced_basis(system)
     if args.json:
         _emit_json(_envelope(ctx) | {"basis": _basis_entries(basis)})
         return 0
@@ -97,7 +98,7 @@ def _cmd_basis(args) -> int:
 def _cmd_reduce(args) -> int:
     ctx, system = _load_system(args)
     target = parse_expression(args.target, ctx)
-    basis = reduced_basis(IdealSpec(ctx, tuple(system)))
+    basis = reduced_basis(system)
     if basis.elements:
         division = multivariate_divide(target, basis.elements)
         cofactors, remainder = division.quotients, division.remainder
@@ -121,7 +122,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_planar(args) -> int:
     ctx, system = _load_system(args)
-    detection = detect_planes(IdealSpec(ctx, tuple(system)))
+    detection = detect_planes(system)
     mode = args.mode or "cleared"
     if args.json:
         planes = []
@@ -168,16 +169,6 @@ def _cmd_conoid_section(args) -> int:
     return 0
 
 
-def _monomial_label(exps: tuple[int, ...]) -> str:
-    factors = []
-    for name, e in zip(AXES, exps):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
-
-
 def _family_payload(family) -> dict:
     A, B, D = family.normalized
     return {
@@ -192,9 +183,9 @@ def _family_payload(family) -> dict:
 
 def _cmd_conoid_conic(args) -> int:
     constraints = conic_constraints()
-    families = solve_conic_constraints()
+    basis = reduced_basis(constraints)
+    families = _verified_families(constraints, basis)
     ctx = constraints[0].context
-    basis = reduced_basis(IdealSpec(ctx, tuple(constraints)))
     if args.json:
         payload = _envelope(ctx) | {
             "constraints": [str(c) for c in constraints],
@@ -203,10 +194,8 @@ def _cmd_conoid_conic(args) -> int:
         }
         _emit_json(payload)
         return 0
-    for exps, constraint in zip(
-        ((2, 2, 0), (1, 3, 0), (0, 4, 0), (1, 2, 0), (0, 3, 0)), constraints
-    ):
-        print(f"coefficient of {_monomial_label(exps)}: {constraint}")
+    for exps, constraint in zip(CONSTRAINT_MONOMIALS, constraints):
+        print(f"coefficient of {_monomial_str(AXES, exps)}: {constraint}")
     print("constraint basis:")
     for g in basis:
         print(f"  {render(g, args.mode or 'monic')}")

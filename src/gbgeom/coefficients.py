@@ -31,6 +31,13 @@ def fraction_gcd(values: Iterable[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
+def _monomial_str(names: tuple[str, ...], exponents: Exponents) -> str:
+    """Power product such as ``x^2*y``; empty for the unit monomial."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e > 0
+    )
+
+
 class ParamPoly:
     """Polynomial over Q in a fixed tuple of parameters.
 
@@ -269,13 +276,7 @@ class ParamPoly:
             return "0"
         pieces = []
         for exps, coeff in self.terms:
-            factors = []
-            for name, e in zip(self.params, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
+            mono = _monomial_str(self.params, exps)
             if not mono:
                 text = str(coeff)
             elif coeff == 1:

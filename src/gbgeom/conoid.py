@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .coefficients import ParamFraction, ParamPoly
 from .division import normal_form
-from .groebner import GroebnerBasis, IdealSpec, reduced_basis
+from .groebner import GroebnerBasis, reduced_basis
 from .polynomials import (
     Polynomial,
     VarContext,
@@ -426,8 +426,7 @@ def _families() -> tuple[ConicCandidateFamily, ConicCandidateFamily]:
 
 def conic_constraint_basis() -> GroebnerBasis:
     """Reduced basis of the constraint ideal in lex A > B > D over Q(a,b,d,h)."""
-    constraints = conic_constraints()
-    return reduced_basis(IdealSpec(constraints[0].context, tuple(constraints)))
+    return reduced_basis(conic_constraints())
 
 
 def _at_point(p: Polynomial, values: tuple[ParamFraction, ...]) -> Polynomial:
@@ -444,6 +443,13 @@ def solve_conic_constraints() -> tuple[ConicCandidateFamily, ConicCandidateFamil
     roots are exactly the two families' A values, so no further family exists.
     """
     constraints = conic_constraints()
+    return _verified_families(constraints, reduced_basis(constraints))
+
+
+def _verified_families(
+    constraints: list[Polynomial], basis: GroebnerBasis
+) -> tuple[ConicCandidateFamily, ConicCandidateFamily]:
+    """``solve_conic_constraints`` on constraints and basis the caller has built."""
     ctx = constraints[0].context
     families = _families()
     for family in families:
@@ -452,7 +458,6 @@ def solve_conic_constraints() -> tuple[ConicCandidateFamily, ConicCandidateFamil
                 raise ArithmeticError(
                     f"family {family.family_id} fails a conic constraint"
                 )
-    basis = conic_constraint_basis()
     A = ctx.variable("A")
     roots = [family.normalized[0] for family in families]
     expected = (
@@ -486,12 +491,13 @@ def final_verdict() -> ConoidVerdict:
     the x-z projection.
     """
     params = ConoidParams.symbolic()
-    families = solve_conic_constraints()
+    constraints = conic_constraints()
+    constraint_basis = reduced_basis(constraints)
+    families = _verified_families(constraints, constraint_basis)
     ctx = params.context()
     surface = conoid_surface(params, ctx)
     bases = tuple(
-        reduced_basis(IdealSpec(ctx, (surface, family.plane_equation())))
-        for family in families
+        reduced_basis((surface, family.plane_equation())) for family in families
     )
     projection = plane_projection(params, "xz")
     forced = coefficient_of(projection, (3, 0, 1))
@@ -515,7 +521,7 @@ def final_verdict() -> ConoidVerdict:
     return ConoidVerdict(
         families=families,
         family_bases=bases,
-        constraint_basis=conic_constraint_basis(),
+        constraint_basis=constraint_basis,
         forced_zero_coefficient=forced,
         branches=branches,
         conclusion=CONCLUSION,

@@ -1,4 +1,4 @@
-"""Multivariate division with remainder under a monomial order.
+"""Multivariate division with remainder.
 
 The division loop always eliminates the current leading term: if some
 divisor's leading monomial divides it, the first such divisor in list order is
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coefficients import ParamFraction
-from .polynomials import LEX, Monomial, MonomialOrder, Polynomial, Term
+from .polynomials import Monomial, Polynomial, Term
 
 
 def _mul_term(p: Polynomial, coeff: ParamFraction, mono: Monomial) -> Polynomial:
@@ -39,9 +39,7 @@ class DivisionResult:
         return total
 
 
-def multivariate_divide(
-    f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = LEX
-) -> DivisionResult:
+def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     """Divide f by an ordered list of divisors; ties go to the first divisor."""
     divisors = tuple(divisors)
     if not divisors:
@@ -74,11 +72,9 @@ def multivariate_divide(
     )
 
 
-def normal_form(
-    f: Polynomial, basis: Iterable[Polynomial], order: MonomialOrder = LEX
-) -> Polynomial:
+def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     """Remainder of f on division by the given polynomials."""
-    elements = tuple(getattr(basis, "elements", basis))
+    elements = tuple(basis)
     if not elements:
         return f
-    return multivariate_divide(f, elements, order).remainder
+    return multivariate_divide(f, elements).remainder

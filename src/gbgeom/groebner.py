@@ -7,60 +7,25 @@ default; the flag exists so the pruning itself can be tested.
 
 ``reduce_basis`` produces THE reduced basis: monic elements, no monomial of
 any element divisible by another element's leading monomial, sorted descending
-by leading monomial.  It is unique for a given ideal and order, which is what
-makes reduced bases usable as canonical forms.
+by leading monomial.  It is unique for a given ideal, which is what makes
+reduced bases usable as canonical forms.  The order is always lex.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable
 
-from .division import _mul_term, multivariate_divide, normal_form
-from .polynomials import (
-    LEX,
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    VarContext,
-    monomial_gcd,
-    monomial_lcm,
-)
-
-
-@dataclass(frozen=True)
-class IdealSpec:
-    """Generators of an ideal in a fixed context; zero generators are dropped."""
-
-    context: VarContext
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder = LEX
-
-    def __post_init__(self):
-        kept = []
-        for g in self.generators:
-            if g.context != self.context:
-                raise ValueError("generator from a different context")
-            if g:
-                kept.append(g)
-        object.__setattr__(self, "generators", tuple(kept))
-
-    @classmethod
-    def from_polynomials(
-        cls, generators: Sequence[Polynomial], order: MonomialOrder = LEX
-    ) -> "IdealSpec":
-        if not generators:
-            raise ValueError("cannot infer a context from no generators")
-        return cls(generators[0].context, tuple(generators), order)
+from .division import _mul_term, normal_form
+from .polynomials import Polynomial, VarContext, monomial_gcd, monomial_lcm
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis together with its order and reduction status."""
+    """A Groebner basis together with its reduction status."""
 
     elements: tuple[Polynomial, ...]
-    order: MonomialOrder = LEX
     reduced: bool = False
 
     def __iter__(self):
@@ -76,18 +41,7 @@ class GroebnerBasis:
         return self.elements[0].context
 
 
-Generators = Union[IdealSpec, GroebnerBasis, Sequence[Polynomial]]
-
-
-def _as_polynomials(source: Generators) -> tuple[Polynomial, ...]:
-    if isinstance(source, IdealSpec):
-        return source.generators
-    if isinstance(source, GroebnerBasis):
-        return source.elements
-    return tuple(p for p in source if p)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = LEX) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial: both leading terms scaled to the lcm and subtracted."""
     f._check(g)
     if not f or not g:
@@ -100,20 +54,19 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = LEX) -> Po
 
 
 def buchberger(
-    source: Generators,
-    order: MonomialOrder = LEX,
-    use_coprime_criterion: bool = True,
+    generators: Iterable[Polynomial], use_coprime_criterion: bool = True
 ) -> GroebnerBasis:
     """Complete the generators to a (generally unreduced) Groebner basis.
 
-    The returned basis contains every nonzero generator.  A zero ideal yields
-    an empty basis.
+    Every generator must share the first one's context.  The returned basis
+    contains every nonzero generator.  A zero ideal yields an empty basis.
     """
-    if isinstance(source, IdealSpec):
-        order = source.order
-    basis = list(_as_polynomials(source))
+    generators = tuple(generators)
+    if any(g.context != generators[0].context for g in generators):
+        raise ValueError("generator from a different context")
+    basis = [g for g in generators if g]
     if not basis:
-        return GroebnerBasis((), order, reduced=False)
+        return GroebnerBasis((), reduced=False)
     pairs: list[tuple[int, int, int]] = []
     for j in range(len(basis)):
         for i in range(j):
@@ -125,28 +78,31 @@ def buchberger(
         lm_j = basis[j].terms[0].monomial
         if use_coprime_criterion and monomial_gcd(lm_i, lm_j).is_one():
             continue
-        remainder = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if remainder:
             basis.append(remainder)
             k = len(basis) - 1
             for i2 in range(k):
                 lcm = monomial_lcm(basis[i2].terms[0].monomial, remainder.terms[0].monomial)
                 heapq.heappush(pairs, (lcm.degree, i2, k))
-    return GroebnerBasis(tuple(basis), order, reduced=False)
+    return GroebnerBasis(tuple(basis), reduced=False)
+
+
+def _lead_key(p: Polynomial) -> tuple[int, ...]:
+    return p.terms[0].monomial.exponents
 
 
 def minimalize(basis: GroebnerBasis) -> GroebnerBasis:
     """Drop elements whose leading monomial another element's divides."""
-    order = basis.order
-    ranked = sorted(basis.elements, key=lambda p: order.key(p.terms[0].monomial))
+    ranked = sorted(basis.elements, key=_lead_key)
     kept: list[Polynomial] = []
     for g in ranked:
         lm = g.terms[0].monomial
         if any(h.terms[0].monomial.divides(lm) for h in kept):
             continue
         kept.append(g)
-    kept.sort(key=lambda p: order.key(p.terms[0].monomial), reverse=True)
-    return GroebnerBasis(tuple(kept), order, reduced=False)
+    kept.sort(key=_lead_key, reverse=True)
+    return GroebnerBasis(tuple(kept), reduced=False)
 
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
@@ -160,24 +116,24 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
             others = elements[:i] + elements[i + 1:]
             if not others:
                 continue
-            reduced = normal_form(g, others, basis.order).monic()
+            reduced = normal_form(g, others).monic()
             if reduced != g:
                 if not reduced:
                     raise ValueError("minimal basis element reduced to zero")
                 elements[i] = reduced
                 changed = True
-    elements.sort(key=lambda p: basis.order.key(p.terms[0].monomial), reverse=True)
-    return GroebnerBasis(tuple(elements), basis.order, reduced=True)
+    elements.sort(key=_lead_key, reverse=True)
+    return GroebnerBasis(tuple(elements), reduced=True)
 
 
-def reduced_basis(source: Generators, order: MonomialOrder = LEX) -> GroebnerBasis:
+def reduced_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """Buchberger, minimalize and reduce in one step."""
-    return reduce_basis(buchberger(source, order))
+    return reduce_basis(buchberger(generators))
 
 
-def is_groebner(source: Generators, order: MonomialOrder = LEX) -> bool:
+def is_groebner(generators: Iterable[Polynomial]) -> bool:
     """Buchberger criterion: every S-polynomial has normal form zero."""
-    polys = _as_polynomials(source)
+    polys = [g for g in generators if g]
     if len(polys) < 2:
         return True
     for j in range(len(polys)):
@@ -186,6 +142,6 @@ def is_groebner(source: Generators, order: MonomialOrder = LEX) -> bool:
             lm_j = polys[j].terms[0].monomial
             if monomial_gcd(lm_i, lm_j).is_one():
                 continue
-            if normal_form(s_polynomial(polys[i], polys[j], order), polys, order):
+            if normal_form(s_polynomial(polys[i], polys[j]), polys):
                 return False
     return True

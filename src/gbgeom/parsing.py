@@ -61,6 +61,9 @@ _TOKEN_RE = re.compile(
 
 _END = "end"
 
+# Deepest parenthesis nesting accepted; each level costs four stack frames.
+MAX_NESTING = 100
+
 
 class _Token(NamedTuple):
     kind: str
@@ -83,12 +86,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _ExpressionParser:
-    __slots__ = ("tokens", "index", "context")
+    __slots__ = ("tokens", "index", "context", "depth")
 
     def __init__(self, tokens: list[_Token], context: VarContext):
         self.tokens = tokens
         self.index = 0
         self.context = context
+        self.depth = 0
 
     def _peek(self) -> _Token:
         return self.tokens[self.index]
@@ -160,7 +164,11 @@ class _ExpressionParser:
         if token.kind == "int":
             return self.context.constant(int(token.text))
         if token.kind == "op" and token.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("expression nested too deeply", position=token.position)
+            self.depth += 1
             inner = self.parse_expression()
+            self.depth -= 1
             closing = self._advance()
             if closing.kind != "op" or closing.text != ")":
                 raise ParseError("expected ')'", position=closing.position)

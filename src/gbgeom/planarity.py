@@ -18,11 +18,12 @@ Three views of the same question, in increasing strength:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .coefficients import ParamFraction
 from .division import normal_form
-from .groebner import Generators, GroebnerBasis, reduce_basis, reduced_basis
-from .polynomials import LEX, Monomial, MonomialOrder, Polynomial, VarContext
+from .groebner import GroebnerBasis, reduce_basis, reduced_basis
+from .polynomials import Monomial, Polynomial, VarContext, coefficient_of
 
 
 @dataclass(frozen=True)
@@ -121,12 +122,12 @@ def lt_membership(basis: GroebnerBasis) -> LTMembershipReport:
     return LTMembershipReport(context.variables, tuple(flags))
 
 
-def detect_planes(source: Generators, order: MonomialOrder = LEX) -> PlaneDetection:
+def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
     """Enumerate every plane containing the variety of the given ideal."""
-    if isinstance(source, GroebnerBasis) and source.reduced:
-        basis = source
+    if isinstance(generators, GroebnerBasis) and generators.reduced:
+        basis = generators
     else:
-        basis = reduced_basis(source, order)
+        basis = reduced_basis(generators)
     if not basis.elements:
         return PlaneDetection("none", None)
     context = basis.context
@@ -169,17 +170,10 @@ def _plane_vector(context: VarContext, plane) -> PlaneCoefficients:
         coeffs = []
         for i in range(nvars):
             mono = tuple(1 if j == i else 0 for j in range(nvars))
-            coeffs.append(_coeff_at(plane, mono))
-        coeffs.append(_coeff_at(plane, (0,) * nvars))
+            coeffs.append(coefficient_of(plane, mono))
+        coeffs.append(coefficient_of(plane, (0,) * nvars))
         return tuple(coeffs)
     return tuple(context.coefficient(c) for c in plane)
-
-
-def _coeff_at(p: Polynomial, exps: tuple[int, ...]) -> ParamFraction:
-    for coeff, mono in p.terms:
-        if mono.exponents == exps:
-            return coeff
-    return ParamFraction.zero(p.context.parameters)
 
 
 def _rref(rows: list[list[ParamFraction]]) -> tuple[list[list[ParamFraction]], list[int]]:

@@ -3,11 +3,13 @@
 A ``VarContext`` fixes the tuple of variables (highest-precedence first) and
 the tuple of parameter names appearing in coefficients.  ``Polynomial`` stores
 its terms sorted descending under the lexicographic order, which makes leading
-parts O(1) and keeps every printed form deterministic.
+parts O(1) and keeps every printed form deterministic.  Lex is the only
+order: it is the order on the ``Monomial.exponents`` tuples.
 
-Only the lexicographic order is supported; ``MonomialOrder`` exists so that
-signatures say which order they use and so the order travels with computed
-bases.
+``render`` prints a polynomial in one of two deterministic text forms that
+parse back to it, so regression artifacts can be pinned as text: ``monic``
+rescales the leading coefficient to one; ``cleared`` multiplies denominators
+away and normalizes the integer content instead.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 from .coefficients import (
     ParamFraction,
     ParamPoly,
+    _monomial_str,
     fraction_gcd,
     param_poly_gcd,
     param_poly_lcm,
@@ -113,35 +116,6 @@ def monomial_lcm(u: Monomial, v: Monomial) -> Monomial:
 
 def monomial_gcd(u: Monomial, v: Monomial) -> Monomial:
     return Monomial(tuple(min(a, b) for a, b in zip(u.exponents, v.exponents)))
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Monomial order tag.  Only "lex" is implemented."""
-
-    kind: str = "lex"
-
-    def __post_init__(self):
-        if self.kind != "lex":
-            raise ValueError(f"unsupported monomial order: {self.kind!r}")
-
-    def key(self, monomial: Monomial) -> tuple[int, ...]:
-        return monomial.exponents
-
-    def compare(self, u: Monomial, v: Monomial) -> int:
-        if len(u.exponents) != len(v.exponents):
-            raise ValueError("monomials from different contexts")
-        if u.exponents == v.exponents:
-            return 0
-        return 1 if u.exponents > v.exponents else -1
-
-
-LEX = MonomialOrder("lex")
-
-
-def compare_monomials(u: Monomial, v: Monomial, order: MonomialOrder = LEX) -> int:
-    """Three-way comparison of two monomials under the given order."""
-    return order.compare(u, v)
 
 
 class Term(NamedTuple):
@@ -351,13 +325,7 @@ def _coeff_str(coeff: ParamFraction) -> str:
 
 
 def _term_str(coeff: ParamFraction, mono: Monomial, names: tuple[str, ...]) -> str:
-    factors = []
-    for name, e in zip(names, mono.exponents):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    mono_s = "*".join(factors)
+    mono_s = _monomial_str(names, mono.exponents)
     if not mono_s:
         return _coeff_str(coeff)
     if coeff.is_one():
@@ -367,11 +335,11 @@ def _term_str(coeff: ParamFraction, mono: Monomial, names: tuple[str, ...]) -> s
     return f"{_coeff_str(coeff)}*{mono_s}"
 
 
-def leading_parts(p: Polynomial, order: MonomialOrder = LEX) -> tuple[Term, Monomial, ParamFraction]:
+def leading_parts(p: Polynomial) -> tuple[Term, Monomial, ParamFraction]:
     """(leading term, leading monomial, leading coefficient); errors on zero."""
     if not p.terms:
         raise ValueError("zero polynomial has no leading parts")
-    lead = max(p.terms, key=lambda t: order.key(t.monomial))
+    lead = p.terms[0]
     return lead, lead.monomial, lead.coefficient
 
 
@@ -438,3 +406,16 @@ def clear_denominators(p: Polynomial) -> Polynomial:
         for num, (_, mono) in zip(nums, p.terms)
     )
     return Polynomial._make(p.context, terms)
+
+
+RENDER_MODES = ("monic", "cleared")
+
+
+def render(p: Polynomial, mode: str = "monic") -> str:
+    if mode not in RENDER_MODES:
+        raise ValueError(f"unknown render mode {mode!r}")
+    if not p.terms:
+        return "0"
+    if mode == "cleared":
+        return str(clear_denominators(p))
+    return str(p.monic())

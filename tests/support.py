@@ -29,6 +29,11 @@ def random_monomial(rng, width, max_degree):
     return Monomial(random_exponents(rng, width, max_degree))
 
 
+def lex_compare(u, v):
+    """Three-way lex comparison: exponent tuples, the key Polynomial sorts terms by."""
+    return (u.exponents > v.exponents) - (u.exponents < v.exponents)
+
+
 def random_polynomial(rng, ctx, max_terms=3, max_degree=2, span=9):
     """Random element of Q[vars]; may be zero when all drawn coefficients vanish."""
     pairs = []

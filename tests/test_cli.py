@@ -200,6 +200,17 @@ def test_bad_expression_exits_one(capsys):
     assert "unknown identifier" in err
 
 
+def test_deep_nesting_exits_one(capsys):
+    nested = "(" * 10_000 + "x" + ")" * 10_000
+    code, out, err = run(capsys, "basis", "--vars", "x", "--poly", nested)
+    assert code == 1
+    assert out == ""
+    assert "expression nested too deeply" in err
+    code, out, _ = run(capsys, "basis", "--vars", "x", "--poly", "(" * 100 + "x" + ")" * 100)
+    assert code == 0
+    assert out == "x\n"
+
+
 def test_file_and_inline_flags_conflict(capsys):
     code, _, err = run(capsys, "basis", PARABOLOID, "--vars", "x")
     assert code == 1

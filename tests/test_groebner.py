@@ -7,7 +7,6 @@ import pytest
 from gbgeom.division import normal_form
 from gbgeom.groebner import (
     GroebnerBasis,
-    IdealSpec,
     buchberger,
     is_groebner,
     minimalize,
@@ -35,19 +34,21 @@ def test_s_polynomial_cancels_leading_terms():
         s_polynomial(X, CTX.zero())
 
 
-def test_ideal_spec_drops_zero_generators():
-    spec = IdealSpec(CTX, (X, CTX.zero(), Y))
-    assert spec.generators == (X, Y)
-    assert IdealSpec.from_polynomials([X + Y]).context is CTX
+def test_generators_drop_zeros_and_share_one_context():
+    assert buchberger([X, CTX.zero(), Y]).elements == (X, Y)
+    assert buchberger([CTX.zero()]).elements == ()
+    # x and the other context's y have coprime leading monomials, so their
+    # pair is never reduced and only the up-front check sees the mix
+    other_y = VarContext(("x", "y", "z"), ("a",)).variable("y")
     with pytest.raises(ValueError):
-        IdealSpec.from_polynomials([])
+        buchberger([X, other_y])
     with pytest.raises(ValueError):
-        IdealSpec(CTX, (VarContext(("t",)).variable("t"),))
+        buchberger([CTX.zero(), VarContext(("t",)).variable("t")])
 
 
 def test_buchberger_keeps_generators_and_completes():
     gens = (X * X - Y, X * X * X - Z)
-    basis = buchberger(IdealSpec(CTX, gens))
+    basis = buchberger(gens)
     assert set(gens) <= set(basis.elements)
     assert is_groebner(basis)
     assert not basis.reduced
@@ -77,7 +78,7 @@ def test_unit_ideal_reduces_to_one():
 
 
 def test_zero_ideal_gives_empty_basis():
-    gb = reduced_basis(IdealSpec(CTX, ()))
+    gb = reduced_basis([])
     assert gb.elements == ()
     assert len(gb) == 0
     with pytest.raises(ValueError):
@@ -85,7 +86,7 @@ def test_zero_ideal_gives_empty_basis():
 
 
 def test_minimalize_drops_redundant_leading_terms():
-    basis = GroebnerBasis((X * X, X), order=reduced_basis([X]).order)
+    basis = GroebnerBasis((X * X, X))
     assert is_groebner(basis)
     assert minimalize(basis).elements == (X,)
 
@@ -118,7 +119,7 @@ def test_reduced_basis_invariant_under_generator_order_and_scale():
 
 def test_coprime_criterion_does_not_change_result():
     gens = [X * Y - 1, Y * Z - 1, X - Z * Z]
-    with_pruning = reduced_basis(IdealSpec(CTX, tuple(gens)))
+    with_pruning = reduced_basis(gens)
     plain = reduce_basis(minimalize(buchberger(gens, use_coprime_criterion=False)))
     assert with_pruning.elements == plain.elements
 

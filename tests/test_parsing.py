@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from gbgeom.parsing import ParseError, SystemFile, parse_expression, parse_system, read_system
+from gbgeom import render
+from gbgeom.parsing import (
+    MAX_NESTING,
+    ParseError,
+    SystemFile,
+    parse_expression,
+    parse_system,
+    read_system,
+)
 from gbgeom.polynomials import VarContext, clear_denominators
-from gbgeom.rendering import render
 
 CTX = VarContext(("x", "y", "z"), ("a", "b"))
 X, Y, Z = (CTX.variable(n) for n in ("x", "y", "z"))
@@ -84,6 +91,14 @@ def test_rejects_malformed_syntax():
     for text in ("x +", "* x", "(x + y", "x)", "", "x $ y", "x + + y"):
         with pytest.raises(ParseError):
             parse_expression(text, CTX)
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert parse_expression("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, CTX) == X
+    with pytest.raises(ParseError) as info:
+        parse_expression("(" * 10_000 + "x" + ")" * 10_000, CTX)
+    assert info.value.message == "expression nested too deeply"
+    assert info.value.position == MAX_NESTING
 
 
 def test_system_file_parsing():

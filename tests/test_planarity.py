@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gbgeom.groebner import GroebnerBasis, IdealSpec, reduced_basis
+from gbgeom.groebner import GroebnerBasis, reduced_basis
 from gbgeom.planarity import detect_planes, lt_membership, scan_linear
 from gbgeom.polynomials import VarContext, clear_denominators
 
@@ -67,7 +67,7 @@ def test_lt_membership_on_the_two_systems():
 
 def test_lt_membership_requires_elements():
     with pytest.raises(ValueError):
-        lt_membership(reduced_basis(IdealSpec(QCTX, ())))
+        lt_membership(reduced_basis([]))
 
 
 def test_detect_planes_parametric_single_plane():
@@ -120,7 +120,7 @@ def test_detect_planes_empty_variety():
 
 
 def test_detect_planes_zero_ideal_has_no_plane():
-    detection = detect_planes(IdealSpec(QCTX, ()))
+    detection = detect_planes([])
     assert detection.status == "none"
 
 
