@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
@@ -38,6 +39,84 @@ def _monomial_str(names: tuple[str, ...], exponents: Exponents) -> str:
     )
 
 
+# The sparse-term core shared by ``ParamPoly`` (Fraction coefficients) and
+# ``polynomials.Polynomial`` (ParamFraction coefficients).  Terms are
+# ``(exponents, coefficient)`` pairs and lex order is tuple comparison.
+# Coefficients meet only through plain operators, so one body serves both.
+
+
+def _collect(pairs, acc: dict) -> dict:
+    """Add pairs into the ``{exponents: coefficient}`` dict acc, dropping zeros."""
+    for exps, coeff in pairs:
+        if not coeff:
+            continue
+        prev = acc.get(exps)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            acc[exps] = total
+        else:
+            del acc[exps]
+    return acc
+
+
+def _lex_sorted(acc: dict) -> tuple:
+    """The pairs of a collected dict, descending in lex order."""
+    return tuple(sorted(acc.items(), reverse=True))
+
+
+def _term_product(left, right) -> dict:
+    """Collected product of two term sequences."""
+    products = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in left for e2, c2 in right)
+    return _collect(products, {})
+
+
+def _power(base, n: int, one):
+    """base ** n by square-and-multiply, starting from one."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def _scale(pairs, coeff, shift: Exponents | None = None) -> tuple:
+    """Every term times coeff (and the monomial of shift); the order is kept."""
+    if shift is None:
+        return tuple((e, c * coeff) for e, c in pairs)
+    return tuple((tuple(map(add, e, shift)), c * coeff) for e, c in pairs)
+
+
+def _evaluate(names: tuple[str, ...], pairs, values: Mapping[str, Fraction]) -> Fraction:
+    """Sum of the terms at the point; only names that occur need a value."""
+    total = Fraction(0)
+    for exps, coeff in pairs:
+        for name, e in zip(names, exps):
+            if e:
+                coeff *= Fraction(values[name]) ** e
+        total += coeff
+    return total
+
+
+def _term_str(names: tuple[str, ...], exponents: Exponents, coeff: str) -> str:
+    """One unsigned term, ``coeff*x^2*y``, dropping a unit coefficient."""
+    mono = _monomial_str(names, exponents)
+    if not mono:
+        return coeff
+    return mono if coeff == "1" else f"{coeff}*{mono}"
+
+
+def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, unsigned text) pieces as ``a - b + c``; ``0`` when empty."""
+    out = "".join((" - " if negative else " + ") + text for negative, text in pieces)
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
 class ParamPoly:
     """Polynomial over Q in a fixed tuple of parameters.
 
@@ -50,25 +129,20 @@ class ParamPoly:
     __slots__ = ("params", "terms")
 
     def __init__(self, params: tuple[str, ...], terms: Iterable[tuple[Exponents, Fraction]] = ()):
-        acc: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms:
-            if not coeff:
-                continue
-            prev = acc.get(exps)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[exps] = total
-            else:
-                del acc[exps]
         self.params = tuple(params)
-        self.terms = tuple(sorted(acc.items(), reverse=True))
+        self.terms = _lex_sorted(_collect(terms, {}))
+
+    @classmethod
+    def _make(cls, params: tuple[str, ...], terms: tuple) -> "ParamPoly":
+        out = cls.__new__(cls)
+        out.params = params
+        out.terms = terms
+        return out
 
     @classmethod
     def constant(cls, params: tuple[str, ...], value) -> "ParamPoly":
         value = Fraction(value)
-        if not value:
-            return cls(params)
-        return cls(params, [((0,) * len(params), value)])
+        return cls._make(tuple(params), (((0,) * len(params), value),) if value else ())
 
     @classmethod
     def parameter(cls, params: tuple[str, ...], name: str) -> "ParamPoly":
@@ -111,10 +185,7 @@ class ParamPoly:
         return hash((self.params, self.terms))
 
     def __neg__(self) -> "ParamPoly":
-        out = ParamPoly.__new__(ParamPoly)
-        out.params = self.params
-        out.terms = tuple((e, -c) for e, c in self.terms)
-        return out
+        return ParamPoly._make(self.params, tuple((e, -c) for e, c in self.terms))
 
     def _coerce(self, other) -> "ParamPoly | None":
         if isinstance(other, ParamPoly):
@@ -128,17 +199,7 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for exps, coeff in other.terms:
-            total = acc.get(exps, 0) + coeff
-            if total:
-                acc[exps] = total
-            else:
-                acc.pop(exps, None)
-        out = ParamPoly.__new__(ParamPoly)
-        out.params = self.params
-        out.terms = tuple(sorted(acc.items(), reverse=True))
-        return out
+        return ParamPoly._make(self.params, _lex_sorted(_collect(other.terms, dict(self.terms))))
 
     def __radd__(self, other) -> "ParamPoly":
         return self + other
@@ -156,56 +217,25 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                total = acc.get(exps, 0) + c1 * c2
-                if total:
-                    acc[exps] = total
-                else:
-                    acc.pop(exps, None)
-        out = ParamPoly.__new__(ParamPoly)
-        out.params = self.params
-        out.terms = tuple(sorted(acc.items(), reverse=True))
-        return out
+        return ParamPoly._make(self.params, _lex_sorted(_term_product(self.terms, other.terms)))
 
     def __rmul__(self, other) -> "ParamPoly":
         return self * other
 
     def __pow__(self, n: int) -> "ParamPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ParamPoly.constant(self.params, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, ParamPoly.constant(self.params, 1))
 
     def mul_ground(self, c: Fraction) -> "ParamPoly":
         if not c:
             return ParamPoly(self.params)
-        out = ParamPoly.__new__(ParamPoly)
-        out.params = self.params
-        out.terms = tuple((e, k * c) for e, k in self.terms)
-        return out
+        return ParamPoly._make(self.params, _scale(self.terms, c))
 
     def quo_ground(self, c: Fraction) -> "ParamPoly":
         return self.mul_ground(Fraction(1) / Fraction(c))
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at the point; only parameters that occur need a value."""
-        total = Fraction(0)
-        for exps, coeff in self.terms:
-            term = coeff
-            for name, e in zip(self.params, exps):
-                if e:
-                    term *= Fraction(values[name]) ** e
-            total += term
-        return total
+        return _evaluate(self.params, self.terms, values)
 
     def degree_in(self, index: int) -> int:
         if not self.terms:
@@ -214,12 +244,11 @@ class ParamPoly:
 
     def coefficient_in(self, index: int, degree: int) -> "ParamPoly":
         """Coefficient of the given power of one parameter, as a polynomial."""
-        picked = []
-        for exps, coeff in self.terms:
-            if exps[index] == degree:
-                reduced = exps[:index] + (0,) + exps[index + 1:]
-                picked.append((reduced, coeff))
-        return ParamPoly(self.params, picked)
+        # terms that agree on one exponent stay distinct and sorted when it is zeroed
+        picked = tuple(
+            (e[:index] + (0,) + e[index + 1:], c) for e, c in self.terms if e[index] == degree
+        )
+        return ParamPoly._make(self.params, picked)
 
     def content(self) -> Fraction:
         return fraction_gcd(c for _, c in self.terms)
@@ -239,60 +268,30 @@ class ParamPoly:
             return self
         if divisor.is_constant():
             return self.quo_ground(divisor.constant_value())
-        if len(divisor.terms) == 1:
-            dexps, dcoeff = divisor.terms[0]
-            out = []
-            for exps, coeff in self.terms:
-                q = tuple(a - b for a, b in zip(exps, dexps))
-                if any(e < 0 for e in q):
-                    raise ValueError("not exactly divisible")
-                out.append((q, coeff / dcoeff))
-            return ParamPoly(self.params, out)
-        rem = dict(self.terms)
-        quo: dict[Exponents, Fraction] = {}
         dexps, dcoeff = divisor.terms[0]
+        if len(divisor.terms) == 1:
+            if any(e < d for exps, _ in self.terms for e, d in zip(exps, dexps)):
+                raise ValueError("not exactly divisible")
+            shift = tuple(-d for d in dexps)
+            return ParamPoly._make(self.params, _scale(self.terms, 1 / dcoeff, shift))
+        rem = dict(self.terms)
+        quo = []
         while rem:
             exps = max(rem)
             qe = tuple(a - b for a, b in zip(exps, dexps))
             if any(e < 0 for e in qe):
                 raise ValueError("not exactly divisible")
             qc = rem[exps] / dcoeff
-            quo[qe] = quo.get(qe, 0) + qc
-            for oe, oc in divisor.terms:
-                ne = tuple(a + b for a, b in zip(qe, oe))
-                nc = rem.get(ne, Fraction(0)) - qc * oc
-                if nc:
-                    rem[ne] = nc
-                else:
-                    rem.pop(ne, None)
-        return ParamPoly(self.params, quo.items())
+            quo.append((qe, qc))  # qe falls strictly, so quo stays lex-sorted
+            _collect(_scale(divisor.terms, -qc, qe), rem)
+        return ParamPoly._make(self.params, tuple(quo))
 
     def _check(self, other: "ParamPoly") -> None:
         if self.params != other.params:
             raise ValueError("mismatched parameter tuples")
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps, coeff in self.terms:
-            mono = _monomial_str(self.params, exps)
-            if not mono:
-                text = str(coeff)
-            elif coeff == 1:
-                text = mono
-            elif coeff == -1:
-                text = "-" + mono
-            else:
-                text = f"{coeff}*{mono}"
-            pieces.append(text)
-        out = pieces[0]
-        for text in pieces[1:]:
-            if text.startswith("-"):
-                out += " - " + text[1:]
-            else:
-                out += " + " + text
-        return out
+        return _join_signed((c < 0, _term_str(self.params, e, str(abs(c)))) for e, c in self.terms)
 
     def __repr__(self) -> str:
         return f"ParamPoly({str(self)!r}, params={self.params!r})"
@@ -332,9 +331,8 @@ def _pseudo_rem(f: ParamPoly, g: ParamPoly, index: int) -> ParamPoly:
     while r and r.degree_in(index) >= dg:
         dr = r.degree_in(index)
         lead_r = r.coefficient_in(index, dr)
-        shift_exps = tuple(dr - dg if j == index else 0 for j in range(len(f.params)))
-        shift = ParamPoly(f.params, [(shift_exps, Fraction(1))])
-        r = lead_g * r - lead_r * shift * g
+        shift = tuple(dr - dg if j == index else 0 for j in range(len(f.params)))
+        r = lead_g * r - lead_r * ParamPoly._make(f.params, _scale(g.terms, 1, shift))
     return r
 
 

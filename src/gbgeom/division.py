@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coefficients import ParamFraction
-from .polynomials import Monomial, Polynomial, Term
+from .coefficients import ParamFraction, _scale
+from .polynomials import Monomial, Polynomial, Term, _terms
 
 
 def _mul_term(p: Polynomial, coeff: ParamFraction, mono: Monomial) -> Polynomial:
     """p scaled by a single term; term order is preserved."""
-    return Polynomial._make(
-        p.context, tuple(Term(c * coeff, m * mono) for c, m in p.terms)
-    )
+    return Polynomial._make(p.context, _terms(_scale(p._pairs(), coeff, mono.exponents)))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,14 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return left - right
 
 
+def _nonzero(generators: Iterable[Polynomial]) -> list[Polynomial]:
+    """The nonzero generators; raises unless all share the first one's context."""
+    generators = tuple(generators)
+    if any(g.context != generators[0].context for g in generators):
+        raise ValueError("generator from a different context")
+    return [g for g in generators if g]
+
+
 def buchberger(
     generators: Iterable[Polynomial], use_coprime_criterion: bool = True
 ) -> GroebnerBasis:
@@ -61,10 +69,7 @@ def buchberger(
     Every generator must share the first one's context.  The returned basis
     contains every nonzero generator.  A zero ideal yields an empty basis.
     """
-    generators = tuple(generators)
-    if any(g.context != generators[0].context for g in generators):
-        raise ValueError("generator from a different context")
-    basis = [g for g in generators if g]
+    basis = _nonzero(generators)
     if not basis:
         return GroebnerBasis((), reduced=False)
     pairs: list[tuple[int, int, int]] = []
@@ -132,10 +137,8 @@ def reduced_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:
 
 
 def is_groebner(generators: Iterable[Polynomial]) -> bool:
-    """Buchberger criterion: every S-polynomial has normal form zero."""
-    polys = [g for g in generators if g]
-    if len(polys) < 2:
-        return True
+    """Buchberger criterion: every S-polynomial has normal form zero; one context."""
+    polys = _nonzero(generators)
     for j in range(len(polys)):
         for i in range(j):
             lm_i = polys[i].terms[0].monomial

@@ -21,7 +21,14 @@ from typing import Iterable, Mapping, NamedTuple, Union
 from .coefficients import (
     ParamFraction,
     ParamPoly,
-    _monomial_str,
+    _collect,
+    _evaluate,
+    _join_signed,
+    _lex_sorted,
+    _power,
+    _scale,
+    _term_product,
+    _term_str,
     fraction_gcd,
     param_poly_gcd,
     param_poly_lcm,
@@ -54,7 +61,7 @@ class VarContext:
             raise ValueError(f"unknown variable: {name!r}") from None
 
     def coefficient(self, value: CoefficientLike) -> ParamFraction:
-        """Coerce ints, rationals, parameter names and ParamPolys to the field."""
+        """Coerce ints, rationals, parameter names and ParamPolys to the field; no floats."""
         if isinstance(value, ParamFraction):
             if value.params != self.parameters:
                 raise ValueError("coefficient from a different context")
@@ -64,7 +71,11 @@ class VarContext:
                 raise ValueError("coefficient from a different context")
             return ParamFraction(value)
         if isinstance(value, str):
+            if value not in self.parameters:
+                raise ValueError(f"unknown parameter: {value!r}")
             return ParamFraction.parameter(self.parameters, value)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an exact coefficient: {value!r}")
         return ParamFraction.from_fraction(self.parameters, value)
 
     def variable(self, name: str) -> "Polynomial":
@@ -123,6 +134,11 @@ class Term(NamedTuple):
     monomial: Monomial
 
 
+def _terms(pairs) -> tuple[Term, ...]:
+    """Terms from the (exponents, coefficient) pairs of the shared core."""
+    return tuple(Term(c, Monomial(e)) for e, c in pairs)
+
+
 class Polynomial:
     """Polynomial with terms sorted descending under lex; immutable.
 
@@ -133,20 +149,8 @@ class Polynomial:
     __slots__ = ("context", "terms")
 
     def __init__(self, context: VarContext, terms: Iterable[Term] = ()):
-        acc: dict[Monomial, ParamFraction] = {}
-        for coeff, mono in terms:
-            if not coeff:
-                continue
-            prev = acc.get(mono)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[mono] = total
-            else:
-                del acc[mono]
         self.context = context
-        self.terms = tuple(
-            Term(acc[m], m) for m in sorted(acc, key=lambda m: m.exponents, reverse=True)
-        )
+        self.terms = _terms(_lex_sorted(_collect(((m.exponents, c) for c, m in terms), {})))
 
     @classmethod
     def _make(cls, context: VarContext, terms: tuple[Term, ...]) -> "Polynomial":
@@ -154,6 +158,9 @@ class Polynomial:
         out.context = context
         out.terms = terms
         return out
+
+    def _pairs(self) -> list[tuple[tuple[int, ...], ParamFraction]]:
+        return [(m.exponents, c) for c, m in self.terms]
 
     @classmethod
     def from_terms(cls, context: VarContext, pairs: Iterable[tuple] ) -> "Polynomial":
@@ -204,18 +211,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.context.constant(other)
         self._check(other)
-        acc = {m: c for c, m in self.terms}
-        for coeff, mono in other.terms:
-            prev = acc.get(mono)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[mono] = total
-            else:
-                del acc[mono]
-        terms = tuple(
-            Term(acc[m], m) for m in sorted(acc, key=lambda m: m.exponents, reverse=True)
-        )
-        return Polynomial._make(self.context, terms)
+        acc = _collect(other._pairs(), dict(self._pairs()))
+        return Polynomial._make(self.context, _terms(_lex_sorted(acc)))
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
@@ -232,21 +229,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(self.context.coefficient(other))
         self._check(other)
-        acc: dict[Monomial, ParamFraction] = {}
-        for c1, m1 in self.terms:
-            for c2, m2 in other.terms:
-                mono = m1 * m2
-                prod = c1 * c2
-                prev = acc.get(mono)
-                total = prod if prev is None else prev + prod
-                if total:
-                    acc[mono] = total
-                else:
-                    del acc[mono]
-        terms = tuple(
-            Term(acc[m], m) for m in sorted(acc, key=lambda m: m.exponents, reverse=True)
-        )
-        return Polynomial._make(self.context, terms)
+        acc = _term_product(self._pairs(), other._pairs())
+        return Polynomial._make(self.context, _terms(_lex_sorted(acc)))
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -255,22 +239,13 @@ class Polynomial:
         coeff = self.context.coefficient(coeff)
         if not coeff:
             return self.context.zero()
-        return Polynomial._make(self.context, tuple(Term(c * coeff, m) for c, m in self.terms))
+        return Polynomial._make(self.context, _terms(_scale(self._pairs(), coeff)))
 
     def __truediv__(self, other) -> "Polynomial":
         return self.scale(self.context.coefficient(other).invert())
 
     def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = self.context.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, self.context.one())
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -286,53 +261,27 @@ class Polynomial:
         parameters: Mapping[str, Fraction] | None = None,
     ) -> Fraction:
         """Evaluate at the point; only names that occur need a value."""
-        names = self.context.variables
-        parameters = parameters or {}
-        total = Fraction(0)
-        for coeff, mono in self.terms:
-            value = coeff.evaluate(parameters)
-            for name, e in zip(names, mono.exponents):
-                if e:
-                    value *= Fraction(variables[name]) ** e
-            total += value
-        return total
+        pairs = ((m.exponents, c.evaluate(parameters or {})) for c, m in self.terms)
+        return _evaluate(self.context.variables, pairs, variables)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         names = self.context.variables
-        pieces = []
-        for coeff, mono in self.terms:
-            if coeff.negative_lead:
-                pieces.append((True, _term_str(-coeff, mono, names)))
-            else:
-                pieces.append((False, _term_str(coeff, mono, names)))
-        negative, text = pieces[0]
-        out = "-" + text if negative else text
-        for negative, text in pieces[1:]:
-            out += (" - " if negative else " + ") + text
-        return out
+        return _join_signed(
+            (c.negative_lead, _term_str(names, m.exponents, _coeff_str(c))) for c, m in self.terms
+        )
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
 
 
 def _coeff_str(coeff: ParamFraction) -> str:
+    """Unsigned text of a coefficient, in parentheses when it is a sum."""
+    if coeff.negative_lead:
+        coeff = -coeff
     text = str(coeff)
     if coeff.den.is_one() and len(coeff.num.terms) > 1:
         return f"({text})"
     return text
-
-
-def _term_str(coeff: ParamFraction, mono: Monomial, names: tuple[str, ...]) -> str:
-    mono_s = _monomial_str(names, mono.exponents)
-    if not mono_s:
-        return _coeff_str(coeff)
-    if coeff.is_one():
-        return mono_s
-    if coeff == -1:
-        return "-" + mono_s
-    return f"{_coeff_str(coeff)}*{mono_s}"
 
 
 def leading_parts(p: Polynomial) -> tuple[Term, Monomial, ParamFraction]:

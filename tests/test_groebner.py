@@ -46,6 +46,13 @@ def test_generators_drop_zeros_and_share_one_context():
         buchberger([CTX.zero(), VarContext(("t",)).variable("t")])
 
 
+def test_is_groebner_rejects_mixed_contexts():
+    # the coprime pair is skipped, so only an up-front check sees the mix
+    other_y = VarContext(("x", "y", "z"), ("a",)).variable("y")
+    with pytest.raises(ValueError, match="different context"):
+        is_groebner([X, other_y])
+
+
 def test_buchberger_keeps_generators_and_completes():
     gens = (X * X - Y, X * X * X - Z)
     basis = buchberger(gens)

@@ -46,6 +46,16 @@ def test_context_coercion_paths():
         CTX.variable("a")
 
 
+def test_context_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        CTX.constant(0.1)
+
+
+def test_context_rejects_unknown_parameter_names():
+    with pytest.raises(ValueError, match=r"^unknown parameter: 'q'$"):
+        CTX.coefficient("q")
+
+
 def test_monomial_operations():
     u = Monomial((2, 0, 1))
     v = Monomial((1, 3, 0))
