@@ -3,9 +3,13 @@
 Coefficients live in the field Q(p1, ..., pk) of rational functions in a fixed
 tuple of parameter names.  ``ParamPoly`` is a multivariate polynomial over Q in
 those parameters; ``ParamFraction`` is a quotient of two of them kept in a
-canonical form, so equality is structural and hashing is cheap.  Plain
-rationals are the k = 0 case and are handled by the same types with an empty
-parameter tuple.
+canonical form, so equality is structural and hashing is cheap.  When there
+are no parameters (k = 0) the field is Q itself and its elements are plain
+``Fraction`` values: ``VarContext.coefficient`` picks the domain from the
+parameter tuple, and code shared by both domains combines coefficients only
+through operators both types support (``+``, ``*``, ``1 / c``, ``c == 1``).
+``_lifted`` turns a ``Fraction`` into a ``ParamFraction`` for the few places
+that need a numerator and a denominator polynomial.
 
 Everything here is immutable and exact; no floats anywhere.
 """
@@ -146,8 +150,9 @@ class ParamPoly:
 
     @classmethod
     def parameter(cls, params: tuple[str, ...], name: str) -> "ParamPoly":
-        i = params.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(params)))
+        if name not in params:
+            raise ValueError(f"unknown parameter: {name!r}")
+        exps = tuple(1 if p == name else 0 for p in params)
         return cls(params, [(exps, Fraction(1))])
 
     def __bool__(self) -> bool:
@@ -445,9 +450,6 @@ class ParamFraction:
             raise ValueError("not a constant")
         return self.num.constant_value()
 
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
     @property
     def negative_lead(self) -> bool:
         """True when the display form starts with a minus sign."""
@@ -541,10 +543,11 @@ class ParamFraction:
         return self.__mul__(other.invert())
 
     def __rtruediv__(self, other) -> "ParamFraction":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced.__mul__(self.invert())
+        if isinstance(other, (int, Fraction)):
+            # a rational numerator only scales the inverse: no gcd is needed
+            inverse = self.invert()
+            return inverse if other == 1 else inverse * other
+        return NotImplemented
 
     def __pow__(self, n: int) -> "ParamFraction":
         if n < 0:
@@ -595,3 +598,14 @@ def normalize_fraction(num: ParamPoly, den: ParamPoly) -> ParamFraction:
         num = num.exact_div(g)
         den = den.exact_div(g)
     return _scaled(num, den)
+
+
+# not typing.Union: its cache would keep every imported copy of this class alive
+Coefficient = Fraction | ParamFraction
+
+
+def _lifted(coeff: Coefficient) -> ParamFraction:
+    """A coefficient as a ParamFraction; a plain Fraction becomes one over no parameters."""
+    if isinstance(coeff, ParamFraction):
+        return coeff
+    return ParamFraction.from_fraction((), coeff)

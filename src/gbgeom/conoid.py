@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import ParamFraction, ParamPoly
+from .coefficients import Coefficient, ParamFraction, ParamPoly, _lifted
 from .division import normal_form
 from .groebner import GroebnerBasis, reduced_basis
 from .polynomials import (
@@ -94,7 +94,7 @@ class ConoidParams:
     ) -> VarContext:
         return VarContext(AXES + tuple(extra_vars), self.parameter_names() + tuple(extra_params))
 
-    def coefficients(self, ctx: VarContext) -> tuple[ParamFraction, ...]:
+    def coefficients(self, ctx: VarContext) -> tuple[Coefficient, ...]:
         return tuple(ctx.coefficient(getattr(self, n)) for n in ("a", "b", "d", "h"))
 
 
@@ -287,7 +287,8 @@ def verify_section_lines(params: ConoidParams, beta) -> bool:
     a, b, d, h = params.coefficients(ctx)
     beta_c = ctx.coefficient(beta if symbolic_beta else Fraction(beta))
     delta = (b * b - beta_c * beta_c) * (a * a * b * b - d * d * beta_c * beta_c)
-    if delta.is_constant() and delta.constant_value() < 0:
+    lifted = _lifted(delta)
+    if lifted.is_constant() and lifted.constant_value() < 0:
         raise ValueError("the section plane misses the surface: negative discriminant")
     surface = conoid_surface(params, ctx)
     s = ctx.variable("s")
@@ -295,7 +296,7 @@ def verify_section_lines(params: ConoidParams, beta) -> bool:
     relation = s**2 - ctx.constant(delta)
     slice_poly = substitute(surface, "y", ctx.constant(beta_c))
     zh = z - ctx.constant(h)
-    inv = (b * b * h).invert()
+    inv = 1 / (b * b * h)
     for sign in (1, -1):
         line = (zh * (ctx.constant(d * beta_c * beta_c) + s.scale(sign))).scale(inv)
         if normal_form(substitute(slice_poly, "x", line), (relation,)):
@@ -317,10 +318,10 @@ def plane_projection(params: ConoidParams, case: str) -> Polynomial:
     x, y = ctx.variable("x"), ctx.variable("y")
     surface = conoid_surface(params, ctx)
     if case == "xy":
-        inv = C.invert()
+        inv = 1 / C
         plane = x.scale(-(A * inv)) + y.scale(-(B * inv)) + ctx.constant(-(D * inv))
         return substitute(surface, "z", plane)
-    inv = B.invert()
+    inv = 1 / B
     plane = x.scale(-(A * inv)) + ctx.constant(-(D * inv))
     return substitute(surface, "y", plane)
 

@@ -6,20 +6,21 @@ used; otherwise the leading term moves to the remainder.  The remainder is
 therefore pure, meaning none of its monomials is divisible by any divisor's
 leading monomial, and f = sum(quotient_i * divisor_i) + remainder holds
 exactly.
+
+The dividend is reduced in place: a ``{key: coefficient}`` dict holds its
+terms and a heap holds their keys, where a term's key is its exponent tuple
+negated, so the smallest key is the lex-largest term.  A term that cancels
+leaves its key in the heap; the stale entry is skipped when it comes up.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .coefficients import ParamFraction, _scale
-from .polynomials import Monomial, Polynomial, Term, _terms
-
-
-def _mul_term(p: Polynomial, coeff: ParamFraction, mono: Monomial) -> Polynomial:
-    """p scaled by a single term; term order is preserved."""
-    return Polynomial._make(p.context, _terms(_scale(p._pairs(), coeff, mono.exponents)))
+from .polynomials import Monomial, Polynomial, Term
 
 
 @dataclass(frozen=True)
@@ -37,31 +38,57 @@ class DivisionResult:
         return total
 
 
+def _negated(exponents: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-e for e in exponents)
+
+
 def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     """Divide f by an ordered list of divisors; ties go to the first divisor."""
     divisors = tuple(divisors)
     if not divisors:
         raise ValueError("at least one divisor is required")
-    leads = []
+    # Per divisor: the negated leading monomial, the inverse leading coefficient
+    # and the tail terms as (lead - tail exponents, coefficient).  The leading
+    # term is never multiplied out: it cancels exactly.  With quotient exponents
+    # -key - lead, a tail product's key is key + (lead - tail).
+    reducers = []
     for g in divisors:
         f._check(g)
         if not g:
             raise ValueError("zero divisor")
-        leads.append((g.terms[0].monomial, g.terms[0].coefficient))
+        lead = g.terms[0].monomial.exponents
+        tail = [(tuple(map(sub, lead, m.exponents)), c) for c, m in g.terms[1:]]
+        reducers.append((_negated(lead), 1 / g.terms[0].coefficient, tail))
+    work = {_negated(m.exponents): c for c, m in f.terms}
+    heap = list(work)
+    heapq.heapify(heap)
     quotients: list[list[Term]] = [[] for _ in divisors]
     remainder: list[Term] = []
-    p = f
-    while p:
-        lc, lm = p.terms[0].coefficient, p.terms[0].monomial
-        for i, (glm, glc) in enumerate(leads):
-            if glm.divides(lm):
-                t = Term(lc / glc, lm.quotient(glm))
-                quotients[i].append(t)
-                p = p - _mul_term(divisors[i], t.coefficient, t.monomial)
+    while heap:
+        key = heapq.heappop(heap)
+        coeff = work.pop(key, None)
+        if coeff is None:
+            continue
+        for i, (bound, inverse, tail) in enumerate(reducers):
+            if all(map(le, key, bound)):  # the leading monomial divides this one
+                factor = coeff * inverse
+                quotients[i].append(Term(factor, Monomial(tuple(map(add, _negated(key), bound)))))
+                factor = -factor
+                for offset, c in tail:
+                    k = tuple(map(add, key, offset))
+                    prev = work.get(k)
+                    if prev is None:
+                        work[k] = factor * c
+                        heapq.heappush(heap, k)
+                    else:
+                        total = prev + factor * c
+                        if total:
+                            work[k] = total
+                        else:
+                            del work[k]
                 break
         else:
-            remainder.append(p.terms[0])
-            p = Polynomial._make(p.context, p.terms[1:])
+            remainder.append(Term(coeff, Monomial(_negated(key))))
     ctx = f.context
     return DivisionResult(
         quotients=tuple(Polynomial._make(ctx, tuple(q)) for q in quotients),

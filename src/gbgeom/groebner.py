@@ -17,8 +17,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .division import _mul_term, normal_form
-from .polynomials import Polynomial, VarContext, monomial_gcd, monomial_lcm
+from .coefficients import Coefficient, _scale
+from .division import normal_form
+from .polynomials import Monomial, Polynomial, VarContext, _terms, monomial_gcd, monomial_lcm
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,11 @@ class GroebnerBasis:
         return self.elements[0].context
 
 
+def _mul_term(p: Polynomial, coeff: Coefficient, mono: Monomial) -> Polynomial:
+    """p scaled by a single term; term order is preserved."""
+    return Polynomial._make(p.context, _terms(_scale(p._pairs(), coeff, mono.exponents)))
+
+
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial: both leading terms scaled to the lcm and subtracted."""
     f._check(g)
@@ -48,8 +54,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("s-polynomial of a zero polynomial")
     lf, lg = f.terms[0], g.terms[0]
     lcm = monomial_lcm(lf.monomial, lg.monomial)
-    left = _mul_term(f, lf.coefficient.invert(), lcm.quotient(lf.monomial))
-    right = _mul_term(g, lg.coefficient.invert(), lcm.quotient(lg.monomial))
+    left = _mul_term(f, 1 / lf.coefficient, lcm.quotient(lf.monomial))
+    right = _mul_term(g, 1 / lg.coefficient, lcm.quotient(lg.monomial))
     return left - right
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .coefficients import ParamFraction
 from .polynomials import Polynomial, VarContext
 
 __all__ = [
@@ -63,6 +62,8 @@ _END = "end"
 
 # Deepest parenthesis nesting accepted; each level costs four stack frames.
 MAX_NESTING = 100
+# Largest exponent accepted after '^'; the power is computed only below it.
+MAX_EXPONENT = 1000
 
 
 class _Token(NamedTuple):
@@ -150,7 +151,10 @@ class _ExpressionParser:
         if exponent.kind != "int":
             raise ParseError("expected an integer exponent after '^'", position=exponent.position)
         self._advance()
-        return base ** int(exponent.text)
+        digits = exponent.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError("exponent too large", position=exponent.position)
+        return base ** int(digits)
 
     def parse_base(self) -> Polynomial:
         token = self._advance()
@@ -159,7 +163,7 @@ class _ExpressionParser:
             if name in self.context.variables:
                 return self.context.variable(name)
             if name in self.context.parameters:
-                return self.context.constant(ParamFraction.parameter(self.context.parameters, name))
+                return self.context.constant(name)
             raise ParseError(f"unknown identifier {name!r}", position=token.position)
         if token.kind == "int":
             return self.context.constant(int(token.text))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coefficients import ParamFraction
+from .coefficients import Coefficient
 from .division import normal_form
 from .groebner import GroebnerBasis, reduce_basis, reduced_basis
 from .polynomials import Monomial, Polynomial, VarContext, coefficient_of
@@ -41,7 +41,7 @@ class LTMembershipReport:
         return not any(self.in_lt_ideal[1:])
 
 
-PlaneCoefficients = tuple[ParamFraction, ParamFraction, ParamFraction, ParamFraction]
+PlaneCoefficients = tuple[Coefficient, Coefficient, Coefficient, Coefficient]
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
         raise ValueError("plane detection needs exactly three variables")
     if any(g.is_constant() for g in basis.elements):
         return PlaneDetection("empty-variety", None)
-    params = context.parameters
     columns = [normal_form(context.variable(name), basis) for name in context.variables]
     columns.append(normal_form(context.one(), basis))
     monomials = sorted(
@@ -143,10 +142,10 @@ def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
         key=lambda m: m.exponents,
         reverse=True,
     )
-    zero = ParamFraction.zero(params)
+    zero = context.coefficient(0)
     lookup = [{t.monomial: t.coefficient for t in col.terms} for col in columns]
     rows = [[table.get(m, zero) for table in lookup] for m in monomials]
-    vectors = _nullspace(rows, 4, params)
+    vectors = _nullspace(rows, 4, context)
     if not vectors:
         return PlaneDetection("none", None)
     planes = []
@@ -155,8 +154,8 @@ def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
         if lead is None:
             # A = B = C = 0 forces D*1 in the ideal, caught as empty variety above
             raise ValueError("degenerate plane vector")
-        if not lead.is_one():
-            inv = lead.invert()
+        if lead != 1:
+            inv = 1 / lead
             vec = [c * inv for c in vec]
         planes.append(tuple(vec))
     return PlaneDetection("planes", PlaneFamily(context, tuple(planes)))
@@ -176,7 +175,7 @@ def _plane_vector(context: VarContext, plane) -> PlaneCoefficients:
     return tuple(context.coefficient(c) for c in plane)
 
 
-def _rref(rows: list[list[ParamFraction]]) -> tuple[list[list[ParamFraction]], list[int]]:
+def _rref(rows: list[list[Coefficient]]) -> tuple[list[list[Coefficient]], list[int]]:
     """Reduced row echelon form over the exact coefficient field."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
@@ -189,7 +188,7 @@ def _rref(rows: list[list[ParamFraction]]) -> tuple[list[list[ParamFraction]], l
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][col].invert()
+        inv = 1 / rows[rank][col]
         rows[rank] = [c * inv for c in rows[rank]]
         for i, row in enumerate(rows):
             if i != rank and row[col]:
@@ -203,12 +202,12 @@ def _rref(rows: list[list[ParamFraction]]) -> tuple[list[list[ParamFraction]], l
 
 
 def _nullspace(
-    rows: list[list[ParamFraction]], ncols: int, params: tuple[str, ...]
-) -> list[list[ParamFraction]]:
+    rows: list[list[Coefficient]], ncols: int, context: VarContext
+) -> list[list[Coefficient]]:
     """Canonical basis of the solution space of rows * v = 0."""
     reduced, pivots = _rref(rows)
-    zero = ParamFraction.zero(params)
-    one = ParamFraction.one(params)
+    zero = context.coefficient(0)
+    one = context.coefficient(1)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

@@ -19,11 +19,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .coefficients import (
+    Coefficient,
     ParamFraction,
     ParamPoly,
     _collect,
     _evaluate,
     _join_signed,
+    _lifted,
     _lex_sorted,
     _power,
     _scale,
@@ -60,27 +62,30 @@ class VarContext:
         except ValueError:
             raise ValueError(f"unknown variable: {name!r}") from None
 
-    def coefficient(self, value: CoefficientLike) -> ParamFraction:
-        """Coerce ints, rationals, parameter names and ParamPolys to the field; no floats."""
-        if isinstance(value, ParamFraction):
-            if value.params != self.parameters:
-                raise ValueError("coefficient from a different context")
-            return value
-        if isinstance(value, ParamPoly):
-            if value.params != self.parameters:
-                raise ValueError("coefficient from a different context")
-            return ParamFraction(value)
+    def coefficient(self, value: CoefficientLike) -> Coefficient:
+        """Coerce ints, rationals, parameter names and ParamPolys to the field; no floats.
+
+        The field is chosen by the parameter tuple alone: a plain ``Fraction``
+        when there are no parameters, a canonical ``ParamFraction`` otherwise.
+        """
+        params = self.parameters
+        if isinstance(value, (int, Fraction)):
+            if params:
+                return ParamFraction.from_fraction(params, value)
+            return value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(value, str):
-            if value not in self.parameters:
-                raise ValueError(f"unknown parameter: {value!r}")
-            return ParamFraction.parameter(self.parameters, value)
-        if not isinstance(value, (int, Fraction)):
+            return ParamFraction.parameter(params, value)
+        if not isinstance(value, (ParamFraction, ParamPoly)):
             raise TypeError(f"not an exact coefficient: {value!r}")
-        return ParamFraction.from_fraction(self.parameters, value)
+        if value.params != params:
+            raise ValueError("coefficient from a different context")
+        if isinstance(value, ParamPoly):
+            value = ParamFraction(value)
+        return value if params else value.constant_value()
 
     def variable(self, name: str) -> "Polynomial":
         exps = tuple(1 if i == self.index_of(name) else 0 for i in range(len(self.variables)))
-        return Polynomial._make(self, (Term(ParamFraction.one(self.parameters), Monomial(exps)),))
+        return Polynomial._make(self, (Term(self.coefficient(1), Monomial(exps)),))
 
     def constant(self, value: CoefficientLike) -> "Polynomial":
         return Polynomial.from_terms(self, [((0,) * len(self.variables), value)])
@@ -130,7 +135,7 @@ def monomial_gcd(u: Monomial, v: Monomial) -> Monomial:
 
 
 class Term(NamedTuple):
-    coefficient: ParamFraction
+    coefficient: Coefficient
     monomial: Monomial
 
 
@@ -159,7 +164,7 @@ class Polynomial:
         out.terms = terms
         return out
 
-    def _pairs(self) -> list[tuple[tuple[int, ...], ParamFraction]]:
+    def _pairs(self) -> list[tuple[tuple[int, ...], Coefficient]]:
         return [(m.exponents, c) for c, m in self.terms]
 
     @classmethod
@@ -180,9 +185,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0].monomial.is_one())
 
-    def constant_value(self) -> ParamFraction:
+    def constant_value(self) -> Coefficient:
         if not self.terms:
-            return ParamFraction.zero(self.context.parameters)
+            return self.context.coefficient(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self.terms[0].coefficient
@@ -242,7 +247,7 @@ class Polynomial:
         return Polynomial._make(self.context, _terms(_scale(self._pairs(), coeff)))
 
     def __truediv__(self, other) -> "Polynomial":
-        return self.scale(self.context.coefficient(other).invert())
+        return self.scale(1 / self.context.coefficient(other))
 
     def __pow__(self, n: int) -> "Polynomial":
         return _power(self, n, self.context.one())
@@ -251,9 +256,9 @@ class Polynomial:
         if not self.terms:
             return self
         lead = self.terms[0].coefficient
-        if lead.is_one():
+        if lead == 1:
             return self
-        return self.scale(lead.invert())
+        return self.scale(1 / lead)
 
     def evaluate(
         self,
@@ -261,13 +266,14 @@ class Polynomial:
         parameters: Mapping[str, Fraction] | None = None,
     ) -> Fraction:
         """Evaluate at the point; only names that occur need a value."""
-        pairs = ((m.exponents, c.evaluate(parameters or {})) for c, m in self.terms)
+        pairs = ((m.exponents, _lifted(c).evaluate(parameters or {})) for c, m in self.terms)
         return _evaluate(self.context.variables, pairs, variables)
 
     def __str__(self) -> str:
         names = self.context.variables
+        lifted = ((_lifted(c), m) for c, m in self.terms)
         return _join_signed(
-            (c.negative_lead, _term_str(names, m.exponents, _coeff_str(c))) for c, m in self.terms
+            (c.negative_lead, _term_str(names, m.exponents, _coeff_str(c))) for c, m in lifted
         )
 
     def __repr__(self) -> str:
@@ -284,7 +290,7 @@ def _coeff_str(coeff: ParamFraction) -> str:
     return text
 
 
-def leading_parts(p: Polynomial) -> tuple[Term, Monomial, ParamFraction]:
+def leading_parts(p: Polynomial) -> tuple[Term, Monomial, Coefficient]:
     """(leading term, leading monomial, leading coefficient); errors on zero."""
     if not p.terms:
         raise ValueError("zero polynomial has no leading parts")
@@ -292,7 +298,7 @@ def leading_parts(p: Polynomial) -> tuple[Term, Monomial, ParamFraction]:
     return lead, lead.monomial, lead.coefficient
 
 
-def coefficient_of(p: Polynomial, monomial: Monomial | tuple[int, ...]) -> ParamFraction:
+def coefficient_of(p: Polynomial, monomial: Monomial | tuple[int, ...]) -> Coefficient:
     """Coefficient of an exact monomial, zero when absent."""
     if not isinstance(monomial, Monomial):
         monomial = Monomial(tuple(monomial))
@@ -301,7 +307,7 @@ def coefficient_of(p: Polynomial, monomial: Monomial | tuple[int, ...]) -> Param
     for coeff, mono in p.terms:
         if mono == monomial:
             return coeff
-    return ParamFraction.zero(p.context.parameters)
+    return p.context.coefficient(0)
 
 
 def substitute(p: Polynomial, var: str, replacement: Polynomial) -> Polynomial:
@@ -335,10 +341,11 @@ def clear_denominators(p: Polynomial) -> Polynomial:
     if not p.terms:
         return p
     params = p.context.parameters
+    coeffs = [_lifted(coeff) for coeff, _ in p.terms]
     lcm = ParamPoly.constant(params, 1)
-    for coeff, _ in p.terms:
+    for coeff in coeffs:
         lcm = param_poly_lcm(lcm, coeff.den)
-    nums = [(coeff * ParamFraction(lcm)).as_poly() for coeff, _ in p.terms]
+    nums = [(coeff * ParamFraction(lcm)).as_poly() for coeff in coeffs]
     rational = fraction_gcd(c for num in nums for _, c in num.terms)
     common = ParamPoly(params)
     for num in nums:
@@ -351,7 +358,7 @@ def clear_denominators(p: Polynomial) -> Polynomial:
     if nums[0].leading_coefficient() < 0:
         nums = [-num for num in nums]
     terms = tuple(
-        Term(ParamFraction(num), mono)
+        Term(p.context.coefficient(num), mono)
         for num, (_, mono) in zip(nums, p.terms)
     )
     return Polynomial._make(p.context, terms)

@@ -1,12 +1,15 @@
-"""Shared generators for the randomized suites.
+"""Shared generators for the randomized suites, and the named test systems.
 
 Every generator takes an explicit ``random.Random`` so each test module
-owns its seed and reruns are reproducible.
+owns its seed and reruns are reproducible.  ``systems`` is the set of small
+systems that the sympy oracle and the coefficient-domain tests both run.
 """
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
-from gbgeom import Monomial, ParamPoly, Polynomial, VarContext
+from gbgeom import Monomial, ParamPoly, Polynomial, VarContext, read_system
 
 
 def random_fraction(rng, span=9):
@@ -70,3 +73,59 @@ def random_nonzero_param_poly(rng, params, max_terms=3, max_degree=2, span=9):
 def random_point(rng, names, span=5):
     """Evaluation point keyed by name; coordinates stay small to keep products exact and fast."""
     return {name: random_fraction(rng, span) for name in names}
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+XYZ = ("x", "y", "z")
+QUADRIC_MONOMIALS = [
+    (i, j, k) for i in range(3) for j in range(3) for k in range(3) if i + j + k <= 2
+]
+PARAM_COEFFICIENTS = ("a", "b", "a + 1", "a*b", "a - b", "2", "-3")
+
+
+def katsura_2():
+    ctx = VarContext(("u0", "u1", "u2"))
+    polys = ["u0^2 + 2*u1^2 + 2*u2^2 - u0", "2*u0*u1 + 2*u1*u2 - u1", "u0 + 2*u1 + 2*u2 - 1"]
+    return ctx, polys
+
+
+def cyclic(n):
+    names = tuple(f"x{i}" for i in range(n))
+    polys = [
+        " + ".join("*".join(names[(i + j) % n] for j in range(k)) for i in range(n))
+        for k in range(1, n)
+    ]
+    return VarContext(names), polys + ["*".join(names) + " - 1"]
+
+
+def quadric_pair(seed, params):
+    """Two sparse quadrics in x, y, z, three terms each, with seeded coefficients."""
+    rng = random.Random(seed)
+    ctx = VarContext(XYZ, ("a", "b") if params else ())
+    polys = []
+    for _ in range(2):
+        terms = []
+        for exps in rng.sample(QUADRIC_MONOMIALS, 3):
+            if params:
+                coeff = rng.choice(PARAM_COEFFICIENTS)
+            else:
+                coeff = str(rng.choice([-1, 1]) * rng.randint(1, 9))
+            mono = "*".join(f"{n}^{e}" for n, e in zip(XYZ, exps) if e) or "1"
+            terms.append(f"({coeff})*{mono}")
+        polys.append(" + ".join(terms))
+    return ctx, polys
+
+
+def systems():
+    """Name -> (context, generator texts): both fixtures, katsura-2, cyclic-3/4, 16 pairs."""
+    cases = {}
+    for path in sorted(FIXTURES.glob("*.sys")):
+        spec = read_system(path)
+        cases[path.stem] = (spec.context(), list(spec.polynomials))
+    cases["katsura-2"] = katsura_2()
+    cases["cyclic-3"] = cyclic(3)
+    cases["cyclic-4"] = cyclic(4)
+    for seed in range(8):
+        cases[f"pair-Q-{seed}"] = quadric_pair(seed, params=False)
+        cases[f"pair-Qab-{seed}"] = quadric_pair(seed, params=True)
+    return cases

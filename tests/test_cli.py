@@ -211,6 +211,13 @@ def test_deep_nesting_exits_one(capsys):
     assert out == "x\n"
 
 
+def test_huge_exponent_exits_one(capsys):
+    code, out, err = run(capsys, "basis", "--vars", "x", "--poly", "(x + 1)^100000000")
+    assert code == 1
+    assert out == ""
+    assert "column 9: exponent too large" in err
+
+
 def test_file_and_inline_flags_conflict(capsys):
     code, _, err = run(capsys, "basis", PARABOLOID, "--vars", "x")
     assert code == 1

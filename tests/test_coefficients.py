@@ -37,6 +37,13 @@ def test_fraction_gcd_of_rationals():
     assert fraction_gcd([Fraction(0), Fraction(5, 7)]) == Fraction(5, 7)
 
 
+def test_parameter_constructors_reject_unknown_names():
+    for make in (ParamPoly.parameter, ParamFraction.parameter):
+        with pytest.raises(ValueError, match="^unknown parameter: 'q'$"):
+            make(("a",), "q")
+        assert str(make(AB, "b")) == "b"
+
+
 def test_param_poly_terms_are_sorted_and_merged():
     p = poly([((0, 1), Fraction(1)), ((1, 0), Fraction(2)), ((0, 1), Fraction(3))])
     assert p.terms == (((1, 0), Fraction(2)), ((0, 1), Fraction(4)))

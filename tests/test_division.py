@@ -46,6 +46,15 @@ def test_divisible_input_leaves_zero_remainder():
     assert result.quotients == (X - Y,)
 
 
+def test_cancelled_monomial_created_again():
+    # x^3 -> quotient x cancels x*y^2 and adds x^2*y; x^2*y -> quotient y adds x*y^2 back
+    f = X**3 - X * Y * Y
+    result = multivariate_divide(f, [X * X - X * Y - Y * Y])
+    assert result.quotients == (X + Y,)
+    assert result.remainder == X * Y * Y + Y**3
+    assert result.reconstruct() == f
+
+
 def test_remainder_only_when_nothing_divides():
     f = X + 1
     result = multivariate_divide(f, [X * Y - 1])

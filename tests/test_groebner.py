@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gbgeom.division import normal_form
+from gbgeom import ParamFraction, detect_planes, parse_expression, render
+from gbgeom.division import multivariate_divide, normal_form
 from gbgeom.groebner import (
     GroebnerBasis,
     buchberger,
@@ -15,6 +16,8 @@ from gbgeom.groebner import (
     s_polynomial,
 )
 from gbgeom.polynomials import VarContext, leading_parts
+
+from support import systems
 
 CTX = VarContext(("x", "y", "z"))
 X, Y, Z = (CTX.variable(n) for n in ("x", "y", "z"))
@@ -110,7 +113,7 @@ def test_reduced_elements_are_monic_pure_and_descending():
     lms = lm_exponents(gb)
     assert lms == sorted(lms, reverse=True)
     for i, g in enumerate(gb):
-        assert leading_parts(g)[2].is_one()
+        assert leading_parts(g)[2] == 1
         others = [h for j, h in enumerate(gb) if j != i]
         for term in g.terms:
             assert not any(leading_parts(h)[1].divides(term.monomial) for h in others)
@@ -160,3 +163,32 @@ def test_parametric_system_reduced_basis():
         y * y - y * z.scale(b) + z * z.scale(b * b / 2) - z.scale(b * b / 2),
     )
     assert is_groebner(gb)
+
+
+RATIONAL_SYSTEMS = {name: case for name, case in systems().items() if not case[0].parameters}
+
+
+def _domain_outputs(ctx, polys):
+    """Every printed answer of one system: basis renders, planes, and one division."""
+    basis = reduced_basis([parse_expression(text, ctx) for text in polys])
+    out = [render(g, mode) for mode in ("monic", "cleared") for g in basis]
+    if len(ctx.variables) == 3:
+        detection = detect_planes(basis)
+        planes = detection.family.planes if detection.family is not None else ()
+        out += [detection.status] + [str(c) for plane in planes for c in plane]
+    names = ctx.variables
+    target = parse_expression(f"({' + '.join(names)} + 1)^3 - 2*{names[0]}*{names[-1]}", ctx)
+    division = multivariate_divide(target, basis.elements)
+    out += [str(q) for q in division.quotients] + [str(division.remainder)]
+    return basis, out
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_SYSTEMS))
+def test_rational_and_rational_function_domains_agree(name):
+    """Over Q the coefficients are Fractions; an unused parameter t gives the same text."""
+    ctx, polys = RATIONAL_SYSTEMS[name]
+    basis, rational = _domain_outputs(VarContext(ctx.variables), polys)
+    lifted_basis, lifted = _domain_outputs(VarContext(ctx.variables, ("t",)), polys)
+    assert rational == lifted
+    assert all(isinstance(t.coefficient, Fraction) for g in basis for t in g.terms)
+    assert all(isinstance(t.coefficient, ParamFraction) for g in lifted_basis for t in g.terms)

@@ -6,6 +6,7 @@ import pytest
 
 from gbgeom import render
 from gbgeom.parsing import (
+    MAX_EXPONENT,
     MAX_NESTING,
     ParseError,
     SystemFile,
@@ -99,6 +100,14 @@ def test_deep_nesting_is_a_parse_error():
         parse_expression("(" * 10_000 + "x" + ")" * 10_000, CTX)
     assert info.value.message == "expression nested too deeply"
     assert info.value.position == MAX_NESTING
+
+
+def test_huge_exponent_is_a_parse_error():
+    for exponent in (str(MAX_EXPONENT + 1), "9" * 5000):
+        with pytest.raises(ParseError) as info:
+            parse_expression(f"(x + y)^{exponent}", CTX)
+        assert info.value.message == "exponent too large"
+        assert info.value.position == 8
 
 
 def test_system_file_parsing():

@@ -128,10 +128,10 @@ def test_clear_denominators_invariants():
         p = random_nonzero_polynomial(rng, XY)
         cleared = clear_denominators(p)
         assert cleared.monic() == p.monic()
-        values = [term.coefficient.constant_value() for term in cleared.terms]
+        values = [term.coefficient for term in cleared.terms]
         assert all(value.denominator == 1 for value in values)
         _, _, lead = leading_parts(cleared)
-        assert lead.constant_value() > 0
+        assert lead > 0
         assert math.gcd(*(value.numerator for value in values)) == 1
 
 
@@ -148,22 +148,35 @@ def test_parse_of_rendered_polynomial_round_trips():
         assert parse_expression(str(p), ctx) == p
 
 
+def with_parameter_coefficients(rng, p):
+    """p with every coefficient times a random nonzero polynomial in a, b."""
+    ctx = p.context
+    return Polynomial.from_terms(ctx, [
+        (m, c * ctx.coefficient(random_nonzero_param_poly(rng, AB, max_terms=2, max_degree=1)))
+        for c, m in p.terms
+    ])
+
+
 def test_division_reconstruction_quick():
     rng = random.Random(139)
-    for _ in range(200):
-        f = random_polynomial(rng, XY)
-        divisors = [
-            random_nonzero_polynomial(rng, XY, max_terms=2)
-            for _ in range(rng.randint(1, 2))
-        ]
-        result = multivariate_divide(f, divisors)
-        rebuilt = result.remainder
-        for quotient, divisor in zip(result.quotients, divisors):
-            rebuilt = rebuilt + quotient * divisor
-        assert rebuilt == f
-        lead_monomials = [leading_parts(d)[1] for d in divisors]
-        for term in result.remainder.terms:
-            assert not any(lm.divides(term.monomial) for lm in lead_monomials)
+    for ctx in (XY, XY_AB):
+        for _ in range(200):
+            f = random_polynomial(rng, ctx)
+            divisors = [
+                random_nonzero_polynomial(rng, ctx, max_terms=2)
+                for _ in range(rng.randint(1, 2))
+            ]
+            if ctx.parameters:
+                f = with_parameter_coefficients(rng, f)
+                divisors = [with_parameter_coefficients(rng, d) for d in divisors]
+            result = multivariate_divide(f, divisors)
+            rebuilt = result.remainder
+            for quotient, divisor in zip(result.quotients, divisors):
+                rebuilt = rebuilt + quotient * divisor
+            assert rebuilt == f
+            lead_monomials = [leading_parts(d)[1] for d in divisors]
+            for term in result.remainder.terms:
+                assert not any(lm.divides(term.monomial) for lm in lead_monomials)
 
 
 def test_order_axioms_quick():
