@@ -42,11 +42,10 @@ def _negated(exponents: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-e for e in exponents)
 
 
-def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
-    """Divide f by an ordered list of divisors; ties go to the first divisor."""
-    divisors = tuple(divisors)
-    if not divisors:
-        raise ValueError("at least one divisor is required")
+def _reduce(
+    f: Polynomial, divisors: tuple[Polynomial, ...], quotients: list[list[Term]] | None
+) -> Polynomial:
+    """Remainder of f on division by divisors; quotient terms go to quotients if given."""
     # Per divisor: the negated leading monomial, the inverse leading coefficient
     # and the tail terms as (lead - tail exponents, coefficient).  The leading
     # term is never multiplied out: it cancels exactly.  With quotient exponents
@@ -62,7 +61,6 @@ def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> Divisi
     work = {_negated(m.exponents): c for c, m in f.terms}
     heap = list(work)
     heapq.heapify(heap)
-    quotients: list[list[Term]] = [[] for _ in divisors]
     remainder: list[Term] = []
     while heap:
         key = heapq.heappop(heap)
@@ -72,7 +70,10 @@ def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> Divisi
         for i, (bound, inverse, tail) in enumerate(reducers):
             if all(map(le, key, bound)):  # the leading monomial divides this one
                 factor = coeff * inverse
-                quotients[i].append(Term(factor, Monomial(tuple(map(add, _negated(key), bound)))))
+                if quotients is not None:
+                    quotients[i].append(
+                        Term(factor, Monomial(tuple(map(add, _negated(key), bound))))
+                    )
                 factor = -factor
                 for offset, c in tail:
                     k = tuple(map(add, key, offset))
@@ -89,10 +90,19 @@ def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> Divisi
                 break
         else:
             remainder.append(Term(coeff, Monomial(_negated(key))))
-    ctx = f.context
+    return Polynomial._make(f.context, tuple(remainder))
+
+
+def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
+    """Divide f by an ordered list of divisors; ties go to the first divisor."""
+    divisors = tuple(divisors)
+    if not divisors:
+        raise ValueError("at least one divisor is required")
+    quotients: list[list[Term]] = [[] for _ in divisors]
+    remainder = _reduce(f, divisors, quotients)
     return DivisionResult(
-        quotients=tuple(Polynomial._make(ctx, tuple(q)) for q in quotients),
-        remainder=Polynomial._make(ctx, tuple(remainder)),
+        quotients=tuple(Polynomial._make(f.context, tuple(q)) for q in quotients),
+        remainder=remainder,
         divisors=divisors,
     )
 
@@ -102,4 +112,4 @@ def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     elements = tuple(basis)
     if not elements:
         return f
-    return multivariate_divide(f, elements).remainder
+    return _reduce(f, elements, None)

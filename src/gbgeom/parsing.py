@@ -166,7 +166,11 @@ class _ExpressionParser:
                 return self.context.constant(name)
             raise ParseError(f"unknown identifier {name!r}", position=token.position)
         if token.kind == "int":
-            return self.context.constant(int(token.text))
+            try:
+                value = int(token.text)
+            except ValueError:  # longer than the interpreter converts
+                raise ParseError("integer literal too long", position=token.position) from None
+            return self.context.constant(value)
         if token.kind == "op" and token.text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError("expression nested too deeply", position=token.position)

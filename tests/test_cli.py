@@ -218,6 +218,13 @@ def test_huge_exponent_exits_one(capsys):
     assert "column 9: exponent too large" in err
 
 
+def test_overlong_integer_literal_exits_one(capsys):
+    code, out, err = run(capsys, "basis", "--vars", "x", "--poly", "x + " + "9" * 5000)
+    assert code == 1
+    assert out == ""
+    assert "column 5: integer literal too long" in err
+    assert "Traceback" not in err
+
 def test_file_and_inline_flags_conflict(capsys):
     code, _, err = run(capsys, "basis", PARABOLOID, "--vars", "x")
     assert code == 1

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from gbgeom.coefficients import (
+    _PRIME,
     ParamFraction,
     ParamPoly,
     fraction_gcd,
     normalize_fraction,
     param_poly_gcd,
     param_poly_lcm,
+    _point_value,
 )
 
 AB = ("a", "b")
@@ -123,6 +125,28 @@ def test_param_poly_gcd_positive_leading_sign():
     assert g == A - B
     assert param_poly_gcd(A - B, B - A) == A - B
 
+
+# Inputs that are unlucky at the fixed point of the gcd certificate: each
+# must fall through to the remainder sequence and get its answer.
+VA = _point_value(0)
+VB = _point_value(1)
+
+
+def test_param_poly_gcd_when_a_leading_coefficient_vanishes_at_the_point():
+    # lc in a is b - VB and lc in b is a - VA: g maps to 1 in both images
+    g = (A - VA) * (B - VB) + ONE
+    assert param_poly_gcd(g * (A + ONE), g * (B + 2)) == g
+
+
+def test_param_poly_gcd_when_a_denominator_is_divisible_by_the_prime():
+    g = A * B + ONE
+    left = g * (A + B * Fraction(1, _PRIME))
+    assert param_poly_gcd(left, g * (A + B + ONE)) == g
+
+
+def test_param_poly_gcd_when_coprime_inputs_have_a_common_image():
+    # both images are a - VA (in a) and b - VB up to sign (in b)
+    assert param_poly_gcd((A - VA) + (B - VB), (A - VA) - (B - VB)) == ONE
 
 def test_param_poly_lcm():
     assert param_poly_lcm(A * B, A * A) == A * A * B

@@ -1,17 +1,21 @@
-"""Differential oracle: reduced lex bases agree with sympy's ``groebner``.
+"""Differential oracle: reduced lex bases and parameter gcds agree with sympy.
 
 sympy is an independent implementation, so agreement on both coefficient
-rings, Q and Q(a, b), pins the sparse-term core and everything above it.
+rings, Q and Q(a, b), pins the sparse-term core and everything above it, and
+agreement with ``sympy.gcd`` pins the gcd that keeps Q(a, b, c) canonical.
 sympy is a test-only dependency; without it this module is skipped.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from gbgeom import parse_expression, reduced_basis  # noqa: E402
+from gbgeom import ParamPoly, param_poly_gcd, parse_expression, reduced_basis  # noqa: E402
 
-from support import systems  # noqa: E402
+from support import random_nonzero_param_poly, systems  # noqa: E402
 
 SYSTEMS = systems()
 
@@ -33,3 +37,33 @@ def test_reduced_basis_matches_sympy(name):
     ctx, polys = SYSTEMS[name]
     ours = reduced_basis([parse_expression(text, ctx) for text in polys]).elements
     assert list(ours) == sympy_reduced_basis(ctx, polys)
+
+
+ABC = ("a", "b", "c")
+
+
+def binomial_or_longer(rng):
+    """A seeded element of Q[a, b, c] with two or three terms; monomials have a shortcut."""
+    while True:
+        p = random_nonzero_param_poly(rng, ABC, max_terms=3, span=5)
+        if len(p.terms) > 1:
+            return p
+
+
+def to_sympy(p):
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms}
+    return sympy.Poly.from_dict(terms, *sympy.symbols(ABC), domain="QQ")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_param_poly_gcd_matches_sympy(seed):
+    rng = random.Random(seed)
+    p, q = binomial_or_longer(rng), binomial_or_longer(rng)
+    if seed % 3:  # plant a common factor
+        g = binomial_or_longer(rng)
+        p, q = p * g, q * g
+    ours = param_poly_gcd(p, q)
+    gcd = to_sympy(p).gcd(to_sympy(q))
+    theirs = ParamPoly(ABC, [(e, Fraction(c.numerator, c.denominator)) for e, c in gcd.terms()])
+    # equal up to the normalization: a rational factor
+    assert theirs.mul_ground(ours.leading_coefficient() / theirs.leading_coefficient()) == ours

@@ -110,6 +110,12 @@ def test_huge_exponent_is_a_parse_error():
         assert info.value.position == 8
 
 
+def test_overlong_integer_literal_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_expression("x + " + "9" * 5000, CTX)
+    assert info.value.message == "integer literal too long"
+    assert info.value.position == 4
+
 def test_system_file_parsing():
     text = """
     # a system with two generators

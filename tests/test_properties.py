@@ -17,6 +17,7 @@ from gbgeom import (
     clear_denominators,
     leading_parts,
     multivariate_divide,
+    normal_form,
     param_poly_gcd,
     param_poly_lcm,
     parse_expression,
@@ -86,6 +87,21 @@ def test_param_gcd_divides_and_product_identity():
         sign = 1 if product.leading_coefficient() > 0 else -1
         assert product.primitive() == g * param_poly_lcm(p, q) * Fraction(sign)
 
+
+def test_param_gcd_keeps_a_planted_factor():
+    # a gcd of 1, or any proper factor of g, would fail the exact division
+    rng = random.Random(151)
+    for params in (AB, ("a", "b", "c")):
+        for _ in range(80):
+            g = random_nonzero_param_poly(rng, params, max_terms=3, max_degree=2, span=5)
+            if g.is_constant():
+                continue
+            p = g * random_nonzero_param_poly(rng, params, max_terms=2, max_degree=2, span=5)
+            q = g * random_nonzero_param_poly(rng, params, max_terms=2, max_degree=2, span=5)
+            gcd = param_poly_gcd(p, q)
+            gcd.exact_div(g)
+            p.exact_div(gcd)
+            q.exact_div(gcd)
 
 def test_polynomial_ring_axioms():
     rng = random.Random(109)
@@ -170,6 +186,7 @@ def test_division_reconstruction_quick():
                 f = with_parameter_coefficients(rng, f)
                 divisors = [with_parameter_coefficients(rng, d) for d in divisors]
             result = multivariate_divide(f, divisors)
+            assert normal_form(f, divisors) == result.remainder
             rebuilt = result.remainder
             for quotient, divisor in zip(result.quotients, divisors):
                 rebuilt = rebuilt + quotient * divisor
