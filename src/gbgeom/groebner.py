@@ -1,9 +1,26 @@
 """Groebner bases via Buchberger's algorithm.
 
-The pair queue is a heap keyed by (degree of the leading-monomial lcm, pair
-indices), so runs are deterministic for a given generator list.  Pairs with
-coprime leading monomials reduce to zero automatically and are skipped by
-default; the flag exists so the pruning itself can be tested.
+The pair loop follows Gebauer and Moeller (J. Symb. Comp. 6, 1988), in the
+form of algorithm UPDATE of Becker and Weispfenning's *Groebner Bases*.  When
+an element h joins the basis:
+
+- new pairs (g, h) are formed only for active g;
+- a new pair is dropped when another new pair's lcm divides its lcm; among
+  new pairs with equal lcms at most one is kept, and none if one of them is
+  coprime (the chain criterion);
+- then new pairs with coprime leading monomials are dropped, since they
+  reduce to zero (unless ``use_coprime_criterion`` is off);
+- an old pair (i, j) is dropped when lm(h) divides lcm(i, j) and neither
+  lcm(i, h) nor lcm(j, h) equals it;
+- every element whose leading monomial lm(h) divides leaves the active set.
+
+Pairs are taken by smallest sugar (Giovini, Mora, Niesi, Robbiano and
+Traverso, ISSAC 1991), ties broken by the pair indices, so runs are
+deterministic for a given generator list.  A generator's sugar is its total
+degree; a pair's is the larger of its elements' sugars, each raised by the
+degree that takes its leading monomial to the lcm; a remainder inherits the
+sugar of its pair.  Each S-polynomial is reduced against the whole basis in
+insertion order, and a nonzero remainder is made monic before it joins.
 
 ``reduce_basis`` produces THE reduced basis: monic elements, no monomial of
 any element divisible by another element's leading monomial, sorted descending
@@ -14,7 +31,7 @@ reduced bases usable as canonical forms.  The order is always lex.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .coefficients import Coefficient, _scale
@@ -22,12 +39,30 @@ from .division import normal_form
 from .polynomials import Monomial, Polynomial, VarContext, _terms, monomial_gcd, monomial_lcm
 
 
+@dataclass
+class PairStats:
+    """Counts of one Buchberger run.
+
+    Every pair formed is dropped by the coprime criterion, dropped by the
+    chain criterion or Gebauer-Moeller elimination, or reduced:
+    ``formed == coprime + chain + reduced``.
+    """
+
+    formed: int = 0
+    coprime: int = 0
+    chain: int = 0
+    reduced: int = 0
+    zero: int = 0
+    peak_basis: int = 0
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis together with its reduction status."""
+    """A Groebner basis together with its reduction status and run statistics."""
 
     elements: tuple[Polynomial, ...]
     reduced: bool = False
+    stats: PairStats | None = field(default=None, compare=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -73,30 +108,70 @@ def buchberger(
     """Complete the generators to a (generally unreduced) Groebner basis.
 
     Every generator must share the first one's context.  The returned basis
-    contains every nonzero generator.  A zero ideal yields an empty basis.
+    contains every nonzero generator, followed by the monic remainders that
+    completed it, and carries the run's ``PairStats``.  A zero ideal yields an
+    empty basis.
     """
-    basis = _nonzero(generators)
-    if not basis:
-        return GroebnerBasis((), reduced=False)
-    pairs: list[tuple[int, int, int]] = []
-    for j in range(len(basis)):
-        for i in range(j):
-            lcm = monomial_lcm(basis[i].terms[0].monomial, basis[j].terms[0].monomial)
-            heapq.heappush(pairs, (lcm.degree, i, j))
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        lm_i = basis[i].terms[0].monomial
-        lm_j = basis[j].terms[0].monomial
-        if use_coprime_criterion and monomial_gcd(lm_i, lm_j).is_one():
+    generators = _nonzero(generators)
+    stats = PairStats()
+    basis: list[Polynomial] = []
+    leads: list[Monomial] = []
+    sugars: list[int] = []
+    active: list[int] = []
+    live: dict[tuple[int, int], Monomial] = {}  # waiting pair -> its lcm
+    queue: list[tuple[int, int, int]] = []  # (sugar, i, j); dropped pairs go stale
+
+    def insert(h: Polynomial, sugar: int) -> None:
+        """Add h to the basis and run the pair update for it."""
+        k = len(basis)
+        lead = h.terms[0].monomial
+        basis.append(h)
+        leads.append(lead)
+        sugars.append(sugar)
+        new = [(monomial_lcm(leads[i], lead), i) for i in active]
+        stats.formed += len(new)
+        kept = []
+        for n, (lcm, i) in enumerate(new):
+            coprime = monomial_gcd(leads[i], lead).is_one()
+            if coprime or not (
+                any(other.divides(lcm) for other, _ in new[n + 1:])
+                or any(other.divides(lcm) for other, _, _ in kept)
+            ):
+                kept.append((lcm, i, coprime))
+            else:
+                stats.chain += 1
+        for (i, j), lcm in list(live.items()):
+            if (
+                lead.divides(lcm)
+                and monomial_lcm(leads[i], lead) != lcm
+                and monomial_lcm(leads[j], lead) != lcm
+            ):
+                del live[i, j]
+                stats.chain += 1
+        for lcm, i, coprime in kept:
+            if coprime and use_coprime_criterion:
+                stats.coprime += 1
+                continue
+            pair_sugar = lcm.degree + max(sugars[i] - leads[i].degree, sugar - lead.degree)
+            live[i, k] = lcm
+            heapq.heappush(queue, (pair_sugar, i, k))
+        active[:] = [i for i in active if not lead.divides(leads[i])]
+        active.append(k)
+
+    for g in generators:
+        insert(g, g.total_degree())
+    while queue:
+        sugar, i, j = heapq.heappop(queue)
+        if live.pop((i, j), None) is None:
             continue
+        stats.reduced += 1
         remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if remainder:
-            basis.append(remainder)
-            k = len(basis) - 1
-            for i2 in range(k):
-                lcm = monomial_lcm(basis[i2].terms[0].monomial, remainder.terms[0].monomial)
-                heapq.heappush(pairs, (lcm.degree, i2, k))
-    return GroebnerBasis(tuple(basis), reduced=False)
+            insert(remainder.monic(), sugar)
+        else:
+            stats.zero += 1
+    stats.peak_basis = len(basis)
+    return GroebnerBasis(tuple(basis), reduced=False, stats=stats)
 
 
 def _lead_key(p: Polynomial) -> tuple[int, ...]:
@@ -113,7 +188,7 @@ def minimalize(basis: GroebnerBasis) -> GroebnerBasis:
             continue
         kept.append(g)
     kept.sort(key=_lead_key, reverse=True)
-    return GroebnerBasis(tuple(kept), reduced=False)
+    return GroebnerBasis(tuple(kept), reduced=False, stats=basis.stats)
 
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
@@ -134,7 +209,7 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
                 elements[i] = reduced
                 changed = True
     elements.sort(key=_lead_key, reverse=True)
-    return GroebnerBasis(tuple(elements), reduced=True)
+    return GroebnerBasis(tuple(elements), reduced=True, stats=basis.stats)
 
 
 def reduced_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:

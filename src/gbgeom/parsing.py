@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
 from typing import NamedTuple
 
+from .coefficients import ParamFraction
 from .polynomials import Polynomial, VarContext
 
 __all__ = [
@@ -64,6 +66,9 @@ _END = "end"
 MAX_NESTING = 100
 # Largest exponent accepted after '^'; the power is computed only below it.
 MAX_EXPONENT = 1000
+# Largest term-count bound accepted for a product or a power, checked before
+# it is computed; see ``_size``.
+MAX_TERMS = 10_000
 
 
 class _Token(NamedTuple):
@@ -84,6 +89,20 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(match.lastgroup, match.group(), match.start()))
     tokens.append(_Token(_END, "", len(text)))
     return tokens
+
+
+def _size(p: Polynomial) -> int:
+    """Terms of p, counting those of each parameter numerator and denominator.
+
+    Read as one polynomial in the variables and the parameters, a product has
+    at most the product of its factors' sizes in terms, and a power p^n with
+    s = _size(p) at most C(n + s - 1, s - 1), the monomials of degree n in s
+    unknowns.
+    """
+    return sum(
+        len(c.num.terms) + len(c.den.terms) - 1 if isinstance(c, ParamFraction) else 1
+        for c, _ in p.terms
+    )
 
 
 class _ExpressionParser:
@@ -128,6 +147,8 @@ class _ExpressionParser:
             self._advance()
             operand = self.parse_factor()
             if token.text == "*":
+                if _size(result) * _size(operand) > MAX_TERMS:
+                    raise ParseError("expression too large", position=token.position)
                 result = result * operand
             else:
                 result = self._divide(result, operand, token.position)
@@ -154,7 +175,10 @@ class _ExpressionParser:
         digits = exponent.text.lstrip("0") or "0"
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise ParseError("exponent too large", position=exponent.position)
-        return base ** int(digits)
+        n, size = int(digits), _size(base)
+        if size > 1 and comb(n + size - 1, size - 1) > MAX_TERMS:
+            raise ParseError("expression too large", position=token.position)
+        return base ** n
 
     def parse_base(self) -> Polynomial:
         token = self._advance()

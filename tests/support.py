@@ -2,14 +2,20 @@
 
 Every generator takes an explicit ``random.Random`` so each test module
 owns its seed and reruns are reproducible.  ``systems`` is the set of small
-systems that the sympy oracle and the coefficient-domain tests both run.
+systems that the sympy oracle and the coefficient-domain tests both run, and
+``reference_buchberger`` is the plain pair loop the engine's is checked
+against.
 """
 
+import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from gbgeom import Monomial, ParamPoly, Polynomial, VarContext, read_system
+from gbgeom.division import normal_form
+from gbgeom.groebner import GroebnerBasis, s_polynomial
 
 
 def random_fraction(rng, span=9):
@@ -83,10 +89,18 @@ QUADRIC_MONOMIALS = [
 PARAM_COEFFICIENTS = ("a", "b", "a + 1", "a*b", "a - b", "2", "-3")
 
 
-def katsura_2():
-    ctx = VarContext(("u0", "u1", "u2"))
-    polys = ["u0^2 + 2*u1^2 + 2*u2^2 - u0", "2*u0*u1 + 2*u1*u2 - u1", "u0 + 2*u1 + 2*u2 - 1"]
-    return ctx, polys
+def katsura(n):
+    """Katsura-n: sum over l of u_|l| * u_|m-l| = u_m for m < n, and u0 + 2*(u1 + ... + un) = 1."""
+    names = tuple(f"u{i}" for i in range(n + 1))
+    polys = []
+    for m in range(n):
+        counts = Counter(
+            tuple(sorted((abs(l), abs(m - l)))) for l in range(-n, n + 1) if abs(m - l) <= n
+        )
+        terms = [f"{c}*{names[i]}*{names[j]}" for (i, j), c in sorted(counts.items())]
+        polys.append(" + ".join(terms) + f" - {names[m]}")
+    polys.append(" + ".join([names[0]] + [f"2*{u}" for u in names[1:]]) + " - 1")
+    return VarContext(names), polys
 
 
 def cyclic(n):
@@ -122,10 +136,32 @@ def systems():
     for path in sorted(FIXTURES.glob("*.sys")):
         spec = read_system(path)
         cases[path.stem] = (spec.context(), list(spec.polynomials))
-    cases["katsura-2"] = katsura_2()
+    cases["katsura-2"] = katsura(2)
     cases["cyclic-3"] = cyclic(3)
     cases["cyclic-4"] = cyclic(4)
     for seed in range(8):
         cases[f"pair-Q-{seed}"] = quadric_pair(seed, params=False)
         cases[f"pair-Qab-{seed}"] = quadric_pair(seed, params=True)
     return cases
+
+
+def reference_buchberger(generators):
+    """Plain Buchberger for differential tests: every pair reduced, smallest lcm degree first."""
+    basis = [g for g in generators if g]
+    lead = [g.terms[0].monomial.exponents for g in basis]
+    queue = []
+
+    def push_pairs(j):
+        for i in range(j):
+            heapq.heappush(queue, (sum(map(max, lead[i], lead[j])), i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if remainder:
+            basis.append(remainder)
+            lead.append(remainder.terms[0].monomial.exponents)
+            push_pairs(len(basis) - 1)
+    return GroebnerBasis(tuple(basis))

@@ -218,6 +218,14 @@ def test_huge_exponent_exits_one(capsys):
     assert "column 9: exponent too large" in err
 
 
+def test_oversized_power_exits_one(capsys):
+    code, out, err = run(capsys, "basis", "--vars", "x,y,z", "--poly", "(x+y+z+1)^1000")
+    assert code == 1
+    assert out == ""
+    assert "column 10: expression too large" in err
+    assert "Traceback" not in err
+
+
 def test_overlong_integer_literal_exits_one(capsys):
     code, out, err = run(capsys, "basis", "--vars", "x", "--poly", "x + " + "9" * 5000)
     assert code == 1

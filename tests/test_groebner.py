@@ -1,5 +1,6 @@
 """Buchberger pipeline: S-polynomials, basis completion, minimal and reduced forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from gbgeom import ParamFraction, detect_planes, parse_expression, render
 from gbgeom.division import multivariate_divide, normal_form
 from gbgeom.groebner import (
     GroebnerBasis,
+    PairStats,
     buchberger,
     is_groebner,
     minimalize,
@@ -17,7 +19,7 @@ from gbgeom.groebner import (
 )
 from gbgeom.polynomials import VarContext, leading_parts
 
-from support import systems
+from support import cyclic, katsura, random_nonzero_polynomial, reference_buchberger, systems
 
 CTX = VarContext(("x", "y", "z"))
 X, Y, Z = (CTX.variable(n) for n in ("x", "y", "z"))
@@ -132,6 +134,63 @@ def test_coprime_criterion_does_not_change_result():
     with_pruning = reduced_basis(gens)
     plain = reduce_basis(minimalize(buchberger(gens, use_coprime_criterion=False)))
     assert with_pruning.elements == plain.elements
+
+
+def parsed(case):
+    ctx, polys = case
+    return [parse_expression(text, ctx) for text in polys]
+
+
+def test_pair_statistics_on_katsura_3():
+    gens = parsed(katsura(3))
+    pruned, plain = buchberger(gens), buchberger(gens, use_coprime_criterion=False)
+    for basis in (pruned, plain):
+        stats = basis.stats
+        # every pair formed is pruned by one criterion or reduced
+        assert stats.formed == stats.coprime + stats.chain + stats.reduced
+        assert stats.zero < stats.reduced
+        assert stats.peak_basis == len(basis)
+        assert reduce_basis(basis).stats is stats
+    assert plain.stats.coprime == 0
+    assert pruned.stats.coprime > 0 and pruned.stats.chain > 0
+    # a loop with the coprime criterion alone reduces 109 S-polynomials
+    assert pruned.stats.reduced <= 30
+
+
+def test_stats_stay_outside_equality_and_hash():
+    basis = buchberger([X * X - Y, X * X * X - Z])
+    assert isinstance(basis.stats, PairStats)
+    bare = GroebnerBasis(basis.elements)
+    assert bare.stats is None
+    assert bare == basis and hash(bare) == hash(basis)
+
+
+DIFFERENTIAL = {**systems(), "katsura-3": katsura(3)}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_pair_loop_matches_plain_buchberger(name):
+    gens = parsed(DIFFERENTIAL[name])
+    assert reduced_basis(gens).elements == reduce_basis(reference_buchberger(gens)).elements
+
+
+def test_pair_loop_matches_plain_buchberger_on_random_systems():
+    rng = random.Random(6)
+    for _ in range(150):
+        ctx = VarContext(("x", "y", "z")[: rng.randint(2, 3)])
+        gens = [
+            random_nonzero_polynomial(rng, ctx, max_terms=3, max_degree=2, span=3)
+            for _ in range(rng.randint(2, 4))
+        ]
+        assert reduced_basis(gens).elements == reduce_basis(reference_buchberger(gens)).elements
+
+
+def test_cyclic_5_completes():
+    gens = parsed(cyclic(5))
+    gb = reduced_basis(gens)
+    assert len(gb) == 11
+    assert is_groebner(gb)
+    assert not any(normal_form(g, gb) for g in gens)
 
 
 def test_is_groebner_detects_incomplete_sets():

@@ -15,9 +15,9 @@ sympy = pytest.importorskip("sympy")
 
 from gbgeom import ParamPoly, param_poly_gcd, parse_expression, reduced_basis  # noqa: E402
 
-from support import random_nonzero_param_poly, systems  # noqa: E402
+from support import katsura, random_nonzero_param_poly, systems  # noqa: E402
 
-SYSTEMS = systems()
+SYSTEMS = {**systems(), "katsura-3": katsura(3)}
 
 
 def sympy_reduced_basis(ctx, polys):

@@ -8,6 +8,7 @@ from gbgeom import render
 from gbgeom.parsing import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
     ParseError,
     SystemFile,
     parse_expression,
@@ -108,6 +109,31 @@ def test_huge_exponent_is_a_parse_error():
             parse_expression(f"(x + y)^{exponent}", CTX)
         assert info.value.message == "exponent too large"
         assert info.value.position == 8
+
+
+def test_oversized_power_or_product_is_a_parse_error():
+    # (x+y+z+1)^1000 would have C(1003, 3) terms; over Q(a, b) the terms of
+    # parameter numerators and denominators count too
+    for text, position in (
+        ("(x + y + z + 1)^1000", 15),
+        ("(a + b + 1)^1000", 11),
+        ("(x + 1/(a + b))^1000", 15),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_expression(text, CTX)
+        assert info.value.message == "expression too large"
+        assert info.value.position == position
+    # a product's bound is the product of its factors' sizes: 100 * 100 is
+    # accepted, 100 * 101 is not
+    rational = VarContext(("x", "y"))
+    assert MAX_TERMS == 100 * 100
+    assert len(parse_expression("(x + 1)^99 * (y + 1)^99", rational).terms) == MAX_TERMS
+    with pytest.raises(ParseError) as info:
+        parse_expression("(x + 1)^99 * (y + 1)^100", rational)
+    assert info.value.message == "expression too large"
+    assert info.value.position == 11
+    # C(12, 2) = 66 terms
+    assert len(parse_expression("(x + y + 1)^10", rational).terms) == 66
 
 
 def test_overlong_integer_literal_is_a_parse_error():
