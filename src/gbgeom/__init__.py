@@ -58,15 +58,12 @@ from .planarity import (
 )
 from .polynomials import (
     RENDER_MODES,
-    Monomial,
     Polynomial,
     Term,
     VarContext,
     clear_denominators,
     coefficient_of,
     leading_parts,
-    monomial_gcd,
-    monomial_lcm,
     render,
     substitute,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "DivisionResult",
     "GroebnerBasis",
     "LTMembershipReport",
-    "Monomial",
     "ParamFraction",
     "ParamPoly",
     "ParseError",
@@ -112,8 +108,6 @@ __all__ = [
     "leading_parts",
     "lt_membership",
     "minimalize",
-    "monomial_gcd",
-    "monomial_lcm",
     "multivariate_divide",
     "normal_form",
     "normalize_fraction",

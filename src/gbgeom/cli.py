@@ -35,7 +35,7 @@ from .conoid import (
 )
 from .division import multivariate_divide
 from .groebner import GroebnerBasis, reduced_basis
-from .parsing import ParseError, SystemFile, parse_expression, read_system
+from .parsing import MAX_EXPONENT, ParseError, SystemFile, parse_expression, read_system
 from .planarity import detect_planes
 from .polynomials import Polynomial, VarContext, clear_denominators, render
 
@@ -48,6 +48,22 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _number(text: str) -> Fraction:
+    """A rational option value, as ``Fraction`` reads it; anything else is a usage error.
+
+    A decimal exponent is bounded by ``MAX_EXPONENT`` before ``Fraction`` expands it.
+    """
+    digits = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if len(digits) > len(str(MAX_EXPONENT)) or digits.isdecimal() and int(digits) > MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(f"exponent over {MAX_EXPONENT}: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def _names(value: str) -> tuple[str, ...]:
@@ -282,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     section = studies.add_parser("section", help="classify an axis-parallel plane section")
     for name, default in (("a", "2"), ("b", "1"), ("d", "1"), ("h", "1")):
-        section.add_argument(f"--{name}", type=Fraction, default=Fraction(default))
+        section.add_argument(f"--{name}", type=_number, default=Fraction(default))
     section.add_argument("--axis", choices=AXES, required=True)
-    section.add_argument("--value", type=Fraction, required=True)
+    section.add_argument("--value", type=_number, required=True)
     section.add_argument("--json", action="store_true")
     section.set_defaults(run=_cmd_conoid_section)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .polynomials import Monomial, Polynomial, Term
+from .polynomials import Polynomial, Term
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,10 @@ def _reduce(
         f._check(g)
         if not g:
             raise ValueError("zero divisor")
-        lead = g.terms[0].monomial.exponents
-        tail = [(tuple(map(sub, lead, m.exponents)), c) for c, m in g.terms[1:]]
+        lead = g.terms[0].monomial
+        tail = [(tuple(map(sub, lead, m)), c) for c, m in g.terms[1:]]
         reducers.append((_negated(lead), 1 / g.terms[0].coefficient, tail))
-    work = {_negated(m.exponents): c for c, m in f.terms}
+    work = {_negated(m): c for c, m in f.terms}
     heap = list(work)
     heapq.heapify(heap)
     remainder: list[Term] = []
@@ -71,9 +71,7 @@ def _reduce(
             if all(map(le, key, bound)):  # the leading monomial divides this one
                 factor = coeff * inverse
                 if quotients is not None:
-                    quotients[i].append(
-                        Term(factor, Monomial(tuple(map(add, _negated(key), bound))))
-                    )
+                    quotients[i].append(Term(factor, tuple(map(add, _negated(key), bound))))
                 factor = -factor
                 for offset, c in tail:
                     k = tuple(map(add, key, offset))
@@ -89,7 +87,7 @@ def _reduce(
                             del work[k]
                 break
         else:
-            remainder.append(Term(coeff, Monomial(_negated(key))))
+            remainder.append(Term(coeff, _negated(key)))
     return Polynomial._make(f.context, tuple(remainder))
 
 

@@ -9,7 +9,7 @@ an element h joins the basis:
   new pairs with equal lcms at most one is kept, and none if one of them is
   coprime (the chain criterion);
 - then new pairs with coprime leading monomials are dropped, since they
-  reduce to zero (unless ``use_coprime_criterion`` is off);
+  reduce to zero;
 - an old pair (i, j) is dropped when lm(h) divides lcm(i, j) and neither
   lcm(i, h) nor lcm(j, h) equals it;
 - every element whose leading monomial lm(h) divides leaves the active set.
@@ -26,17 +26,22 @@ insertion order, and a nonzero remainder is made monic before it joins.
 any element divisible by another element's leading monomial, sorted descending
 by leading monomial.  It is unique for a given ideal, which is what makes
 reduced bases usable as canonical forms.  The order is always lex.
+
+A monomial is an exponent tuple: an lcm is ``map(max, ...)``, two monomials
+are coprime when ``map(min, ...)`` is all zero, and ``_divides`` is
+``map(le, ...)``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import le, sub
 from typing import Iterable
 
 from .coefficients import Coefficient, _scale
 from .division import normal_form
-from .polynomials import Monomial, Polynomial, VarContext, _terms, monomial_gcd, monomial_lcm
+from .polynomials import Polynomial, VarContext, _terms
 
 
 @dataclass
@@ -77,9 +82,14 @@ class GroebnerBasis:
         return self.elements[0].context
 
 
-def _mul_term(p: Polynomial, coeff: Coefficient, mono: Monomial) -> Polynomial:
+def _divides(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """True when the monomial u divides the monomial v."""
+    return all(map(le, u, v))
+
+
+def _mul_term(p: Polynomial, coeff: Coefficient, mono: tuple[int, ...]) -> Polynomial:
     """p scaled by a single term; term order is preserved."""
-    return Polynomial._make(p.context, _terms(_scale(p._pairs(), coeff, mono.exponents)))
+    return Polynomial._make(p.context, _terms(_scale(p._pairs(), coeff, mono)))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -88,9 +98,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if not f or not g:
         raise ValueError("s-polynomial of a zero polynomial")
     lf, lg = f.terms[0], g.terms[0]
-    lcm = monomial_lcm(lf.monomial, lg.monomial)
-    left = _mul_term(f, 1 / lf.coefficient, lcm.quotient(lf.monomial))
-    right = _mul_term(g, 1 / lg.coefficient, lcm.quotient(lg.monomial))
+    lcm = tuple(map(max, lf.monomial, lg.monomial))
+    left = _mul_term(f, 1 / lf.coefficient, tuple(map(sub, lcm, lf.monomial)))
+    right = _mul_term(g, 1 / lg.coefficient, tuple(map(sub, lcm, lg.monomial)))
     return left - right
 
 
@@ -102,9 +112,7 @@ def _nonzero(generators: Iterable[Polynomial]) -> list[Polynomial]:
     return [g for g in generators if g]
 
 
-def buchberger(
-    generators: Iterable[Polynomial], use_coprime_criterion: bool = True
-) -> GroebnerBasis:
+def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """Complete the generators to a (generally unreduced) Groebner basis.
 
     Every generator must share the first one's context.  The returned basis
@@ -115,10 +123,10 @@ def buchberger(
     generators = _nonzero(generators)
     stats = PairStats()
     basis: list[Polynomial] = []
-    leads: list[Monomial] = []
+    leads: list[tuple[int, ...]] = []
     sugars: list[int] = []
     active: list[int] = []
-    live: dict[tuple[int, int], Monomial] = {}  # waiting pair -> its lcm
+    live: dict[tuple[int, int], tuple[int, ...]] = {}  # waiting pair -> its lcm
     queue: list[tuple[int, int, int]] = []  # (sugar, i, j); dropped pairs go stale
 
     def insert(h: Polynomial, sugar: int) -> None:
@@ -128,34 +136,34 @@ def buchberger(
         basis.append(h)
         leads.append(lead)
         sugars.append(sugar)
-        new = [(monomial_lcm(leads[i], lead), i) for i in active]
+        new = [(tuple(map(max, leads[i], lead)), i) for i in active]
         stats.formed += len(new)
         kept = []
         for n, (lcm, i) in enumerate(new):
-            coprime = monomial_gcd(leads[i], lead).is_one()
+            coprime = not any(map(min, leads[i], lead))
             if coprime or not (
-                any(other.divides(lcm) for other, _ in new[n + 1:])
-                or any(other.divides(lcm) for other, _, _ in kept)
+                any(_divides(other, lcm) for other, _ in new[n + 1:])
+                or any(_divides(other, lcm) for other, _, _ in kept)
             ):
                 kept.append((lcm, i, coprime))
             else:
                 stats.chain += 1
         for (i, j), lcm in list(live.items()):
             if (
-                lead.divides(lcm)
-                and monomial_lcm(leads[i], lead) != lcm
-                and monomial_lcm(leads[j], lead) != lcm
+                _divides(lead, lcm)
+                and tuple(map(max, leads[i], lead)) != lcm
+                and tuple(map(max, leads[j], lead)) != lcm
             ):
                 del live[i, j]
                 stats.chain += 1
         for lcm, i, coprime in kept:
-            if coprime and use_coprime_criterion:
+            if coprime:
                 stats.coprime += 1
                 continue
-            pair_sugar = lcm.degree + max(sugars[i] - leads[i].degree, sugar - lead.degree)
+            pair_sugar = sum(lcm) + max(sugars[i] - sum(leads[i]), sugar - sum(lead))
             live[i, k] = lcm
             heapq.heappush(queue, (pair_sugar, i, k))
-        active[:] = [i for i in active if not lead.divides(leads[i])]
+        active[:] = [i for i in active if not _divides(lead, leads[i])]
         active.append(k)
 
     for g in generators:
@@ -175,7 +183,7 @@ def buchberger(
 
 
 def _lead_key(p: Polynomial) -> tuple[int, ...]:
-    return p.terms[0].monomial.exponents
+    return p.terms[0].monomial
 
 
 def minimalize(basis: GroebnerBasis) -> GroebnerBasis:
@@ -184,7 +192,7 @@ def minimalize(basis: GroebnerBasis) -> GroebnerBasis:
     kept: list[Polynomial] = []
     for g in ranked:
         lm = g.terms[0].monomial
-        if any(h.terms[0].monomial.divides(lm) for h in kept):
+        if any(_divides(h.terms[0].monomial, lm) for h in kept):
             continue
         kept.append(g)
     kept.sort(key=_lead_key, reverse=True)
@@ -192,23 +200,19 @@ def minimalize(basis: GroebnerBasis) -> GroebnerBasis:
 
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
-    """Minimalize, then autoreduce every element and scale it monic."""
-    minimal = minimalize(basis)
-    elements = [g.monic() for g in minimal.elements]
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(elements):
-            others = elements[:i] + elements[i + 1:]
-            if not others:
-                continue
-            reduced = normal_form(g, others).monic()
-            if reduced != g:
-                if not reduced:
-                    raise ValueError("minimal basis element reduced to zero")
-                elements[i] = reduced
-                changed = True
-    elements.sort(key=_lead_key, reverse=True)
+    """Minimalize, then reduce each element against the smaller ones and scale it monic.
+
+    Elements are taken smallest leading monomial first.  A tail monomial is
+    below its element's leading monomial, so no larger leading monomial divides
+    it: reducing against the elements already reduced is enough, in one pass.
+    """
+    elements: list[Polynomial] = []
+    for g in reversed(minimalize(basis).elements):
+        reduced = normal_form(g, elements).monic()
+        if not reduced:
+            raise ValueError("minimal basis element reduced to zero")
+        elements.append(reduced)
+    elements.reverse()
     return GroebnerBasis(tuple(elements), reduced=True, stats=basis.stats)
 
 
@@ -222,9 +226,7 @@ def is_groebner(generators: Iterable[Polynomial]) -> bool:
     polys = _nonzero(generators)
     for j in range(len(polys)):
         for i in range(j):
-            lm_i = polys[i].terms[0].monomial
-            lm_j = polys[j].terms[0].monomial
-            if monomial_gcd(lm_i, lm_j).is_one():
+            if not any(map(min, polys[i].terms[0].monomial, polys[j].terms[0].monomial)):
                 continue
             if normal_form(s_polynomial(polys[i], polys[j]), polys):
                 return False

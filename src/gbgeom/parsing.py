@@ -154,7 +154,7 @@ class _ExpressionParser:
                 result = self._divide(result, operand, token.position)
 
     def _divide(self, numerator: Polynomial, denominator: Polynomial, position: int) -> Polynomial:
-        if any(not t.monomial.is_one() for t in denominator.terms):
+        if any(any(t.monomial) for t in denominator.terms):
             raise ParseError("division by an expression containing variables", position=position)
         if not denominator.terms:
             raise ParseError("division by zero", position=position)

@@ -22,8 +22,8 @@ from typing import Iterable
 
 from .coefficients import Coefficient
 from .division import normal_form
-from .groebner import GroebnerBasis, reduce_basis, reduced_basis
-from .polynomials import Monomial, Polynomial, VarContext, coefficient_of
+from .groebner import GroebnerBasis, _divides, reduce_basis, reduced_basis
+from .polynomials import Polynomial, VarContext, coefficient_of
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,9 @@ def lt_membership(basis: GroebnerBasis) -> LTMembershipReport:
         raise ValueError("membership report needs a nonempty basis")
     leads = [g.terms[0].monomial for g in basis.elements]
     flags = []
-    for i in range(len(context.variables)):
-        mono = Monomial(tuple(1 if j == i else 0 for j in range(len(context.variables))))
-        flags.append(any(lm.divides(mono) for lm in leads))
+    for name in context.variables:
+        mono = context.variable(name).terms[0].monomial
+        flags.append(any(_divides(lm, mono) for lm in leads))
     return LTMembershipReport(context.variables, tuple(flags))
 
 
@@ -137,11 +137,7 @@ def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
         return PlaneDetection("empty-variety", None)
     columns = [normal_form(context.variable(name), basis) for name in context.variables]
     columns.append(normal_form(context.one(), basis))
-    monomials = sorted(
-        {t.monomial for col in columns for t in col.terms},
-        key=lambda m: m.exponents,
-        reverse=True,
-    )
+    monomials = sorted({t.monomial for col in columns for t in col.terms}, reverse=True)
     zero = context.coefficient(0)
     lookup = [{t.monomial: t.coefficient for t in col.terms} for col in columns]
     rows = [[table.get(m, zero) for table in lookup] for m in monomials]

@@ -3,8 +3,12 @@
 A ``VarContext`` fixes the tuple of variables (highest-precedence first) and
 the tuple of parameter names appearing in coefficients.  ``Polynomial`` stores
 its terms sorted descending under the lexicographic order, which makes leading
-parts O(1) and keeps every printed form deterministic.  Lex is the only
-order: it is the order on the ``Monomial.exponents`` tuples.
+parts O(1) and keeps every printed form deterministic.  A monomial is its
+exponent tuple, the form the sparse core in ``coefficients`` works on, and lex
+is the only order: it is the order of those tuples.  ``Polynomial``,
+``from_terms`` and ``coefficient_of`` take exponents from outside and check
+that each is a non-negative integer of the right count; every other monomial
+is made from checked ones.
 
 ``render`` prints a polynomial in one of two deterministic text forms that
 parse back to it, so regression artifacts can be pinned as text: ``monic``
@@ -84,8 +88,9 @@ class VarContext:
         return value if params else value.constant_value()
 
     def variable(self, name: str) -> "Polynomial":
-        exps = tuple(1 if i == self.index_of(name) else 0 for i in range(len(self.variables)))
-        return Polynomial._make(self, (Term(self.coefficient(1), Monomial(exps)),))
+        index = self.index_of(name)
+        exps = tuple(int(i == index) for i in range(len(self.variables)))
+        return Polynomial._make(self, (Term(self.coefficient(1), exps),))
 
     def constant(self, value: CoefficientLike) -> "Polynomial":
         return Polynomial.from_terms(self, [((0,) * len(self.variables), value)])
@@ -97,65 +102,42 @@ class VarContext:
         return self.constant(1)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector over the context's variables."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("negative exponent")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def is_one(self) -> bool:
-        return not any(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise ValueError("monomial does not divide")
-        return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-
-def monomial_lcm(u: Monomial, v: Monomial) -> Monomial:
-    return Monomial(tuple(max(a, b) for a, b in zip(u.exponents, v.exponents)))
-
-
-def monomial_gcd(u: Monomial, v: Monomial) -> Monomial:
-    return Monomial(tuple(min(a, b) for a, b in zip(u.exponents, v.exponents)))
-
-
 class Term(NamedTuple):
     coefficient: Coefficient
-    monomial: Monomial
+    monomial: tuple[int, ...]
 
 
 def _terms(pairs) -> tuple[Term, ...]:
     """Terms from the (exponents, coefficient) pairs of the shared core."""
-    return tuple(Term(c, Monomial(e)) for e, c in pairs)
+    return tuple(Term(c, e) for e, c in pairs)
+
+
+def _exponents(context: VarContext, exponents: Iterable[int]) -> tuple[int, ...]:
+    """An exponent tuple from outside, checked against the context."""
+    exponents = tuple(exponents)
+    if len(exponents) != len(context.variables):
+        raise ValueError("exponent tuple has wrong length")
+    for e in exponents:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent is not a non-negative integer: {e!r}")
+    return exponents
 
 
 class Polynomial:
     """Polynomial with terms sorted descending under lex; immutable.
 
-    Arithmetic accepts another ``Polynomial`` or anything ``VarContext.coefficient``
-    coerces.  Equality is structural and includes the context.
+    The constructor takes ``Term``s of any coefficient ``VarContext.coefficient``
+    coerces and checks each exponent tuple.  Arithmetic accepts another
+    ``Polynomial`` or such a coefficient.  Equality is structural and includes
+    the context.
     """
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context: VarContext, terms: Iterable[Term] = ()):
         self.context = context
-        self.terms = _terms(_lex_sorted(_collect(((m.exponents, c) for c, m in terms), {})))
+        pairs = ((_exponents(context, m), context.coefficient(c)) for c, m in terms)
+        self.terms = _terms(_lex_sorted(_collect(pairs, {})))
 
     @classmethod
     def _make(cls, context: VarContext, terms: tuple[Term, ...]) -> "Polynomial":
@@ -165,25 +147,18 @@ class Polynomial:
         return out
 
     def _pairs(self) -> list[tuple[tuple[int, ...], Coefficient]]:
-        return [(m.exponents, c) for c, m in self.terms]
+        return [(m, c) for c, m in self.terms]
 
     @classmethod
-    def from_terms(cls, context: VarContext, pairs: Iterable[tuple] ) -> "Polynomial":
-        """Build from (exponents-or-Monomial, coefficient-like) pairs."""
-        terms = []
-        nvars = len(context.variables)
-        for exps, coeff in pairs:
-            mono = exps if isinstance(exps, Monomial) else Monomial(tuple(exps))
-            if len(mono.exponents) != nvars:
-                raise ValueError("exponent tuple has wrong length")
-            terms.append(Term(context.coefficient(coeff), mono))
-        return cls(context, terms)
+    def from_terms(cls, context: VarContext, pairs: Iterable[tuple]) -> "Polynomial":
+        """Build from (exponents, coefficient-like) pairs."""
+        return cls(context, (Term(c, e) for e, c in pairs))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0].monomial.is_one())
+        return not self.terms or (len(self.terms) == 1 and not any(self.terms[0].monomial))
 
     def constant_value(self) -> Coefficient:
         if not self.terms:
@@ -195,7 +170,7 @@ class Polynomial:
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(t.monomial.degree for t in self.terms)
+        return max(sum(t.monomial) for t in self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -266,14 +241,14 @@ class Polynomial:
         parameters: Mapping[str, Fraction] | None = None,
     ) -> Fraction:
         """Evaluate at the point; only names that occur need a value."""
-        pairs = ((m.exponents, _lifted(c).evaluate(parameters or {})) for c, m in self.terms)
+        pairs = ((m, _lifted(c).evaluate(parameters or {})) for c, m in self.terms)
         return _evaluate(self.context.variables, pairs, variables)
 
     def __str__(self) -> str:
         names = self.context.variables
         lifted = ((_lifted(c), m) for c, m in self.terms)
         return _join_signed(
-            (c.negative_lead, _term_str(names, m.exponents, _coeff_str(c))) for c, m in lifted
+            (c.negative_lead, _term_str(names, m, _coeff_str(c))) for c, m in lifted
         )
 
     def __repr__(self) -> str:
@@ -290,7 +265,7 @@ def _coeff_str(coeff: ParamFraction) -> str:
     return text
 
 
-def leading_parts(p: Polynomial) -> tuple[Term, Monomial, Coefficient]:
+def leading_parts(p: Polynomial) -> tuple[Term, tuple[int, ...], Coefficient]:
     """(leading term, leading monomial, leading coefficient); errors on zero."""
     if not p.terms:
         raise ValueError("zero polynomial has no leading parts")
@@ -298,12 +273,9 @@ def leading_parts(p: Polynomial) -> tuple[Term, Monomial, Coefficient]:
     return lead, lead.monomial, lead.coefficient
 
 
-def coefficient_of(p: Polynomial, monomial: Monomial | tuple[int, ...]) -> Coefficient:
+def coefficient_of(p: Polynomial, monomial: Iterable[int]) -> Coefficient:
     """Coefficient of an exact monomial, zero when absent."""
-    if not isinstance(monomial, Monomial):
-        monomial = Monomial(tuple(monomial))
-    if len(monomial.exponents) != len(p.context.variables):
-        raise ValueError("exponent tuple has wrong length")
+    monomial = _exponents(p.context, monomial)
     for coeff, mono in p.terms:
         if mono == monomial:
             return coeff
@@ -316,17 +288,18 @@ def substitute(p: Polynomial, var: str, replacement: Polynomial) -> Polynomial:
     index = p.context.index_of(var)
     if replacement == p.context.variable(var):
         return p
+    # Zeroing one exponent keeps the lex order of the terms that share it, so
+    # each layer is already a sorted term tuple.
     layers: dict[int, list[Term]] = {}
     for coeff, mono in p.terms:
-        e = mono.exponents[index]
-        rest = Monomial(mono.exponents[:index] + (0,) + mono.exponents[index + 1:])
-        layers.setdefault(e, []).append(Term(coeff, rest))
+        rest = mono[:index] + (0,) + mono[index + 1:]
+        layers.setdefault(mono[index], []).append(Term(coeff, rest))
     if not layers:
         return p
     top = max(layers)
-    result = Polynomial(p.context, layers.get(top, ()))
+    result = Polynomial._make(p.context, tuple(layers[top]))
     for e in range(top - 1, -1, -1):
-        result = result * replacement + Polynomial(p.context, layers.get(e, ()))
+        result = result * replacement + Polynomial._make(p.context, tuple(layers.get(e, ())))
     return result
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from gbgeom import Monomial, ParamPoly, Polynomial, VarContext, read_system
+from gbgeom import ParamPoly, Polynomial, VarContext, read_system
 from gbgeom.division import normal_form
 from gbgeom.groebner import GroebnerBasis, s_polynomial
 
@@ -34,13 +34,18 @@ def random_exponents(rng, width, max_degree):
     return tuple(rng.randint(0, max_degree) for _ in range(width))
 
 
-def random_monomial(rng, width, max_degree):
-    return Monomial(random_exponents(rng, width, max_degree))
-
-
 def lex_compare(u, v):
-    """Three-way lex comparison: exponent tuples, the key Polynomial sorts terms by."""
-    return (u.exponents > v.exponents) - (u.exponents < v.exponents)
+    """Three-way lex comparison of exponent tuples, the order Polynomial sorts terms by."""
+    return (u > v) - (u < v)
+
+
+def divides(u, v):
+    """True when the monomial u divides the monomial v."""
+    return all(a <= b for a, b in zip(u, v))
+
+
+def monomial_product(u, v):
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def random_polynomial(rng, ctx, max_terms=3, max_degree=2, span=9):
@@ -148,7 +153,7 @@ def systems():
 def reference_buchberger(generators):
     """Plain Buchberger for differential tests: every pair reduced, smallest lcm degree first."""
     basis = [g for g in generators if g]
-    lead = [g.terms[0].monomial.exponents for g in basis]
+    lead = [g.terms[0].monomial for g in basis]
     queue = []
 
     def push_pairs(j):
@@ -162,6 +167,6 @@ def reference_buchberger(generators):
         remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if remainder:
             basis.append(remainder)
-            lead.append(remainder.terms[0].monomial.exponents)
+            lead.append(remainder.terms[0].monomial)
             push_pairs(len(basis) - 1)
     return GroebnerBasis(tuple(basis))

@@ -262,6 +262,16 @@ def test_usage_errors_exit_one(capsys):
         run_command(["conoid", "section", "--axis", "y", "--value", "pi"])
     assert info.value.code == 1
     capsys.readouterr()
+    # a zero denominator, and an exponent bounded before Fraction expands it
+    for option, number, message in (
+        ("--value", "1/0", "zero denominator: '1/0'"),
+        ("--a", "1/0", "zero denominator: '1/0'"),
+        ("--value", "1e999999999", "exponent over 1000: '1e999999999'"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            run_command(["conoid", "section", "--axis", "y", "--value", "1", option, number])
+        assert info.value.code == 1
+        assert message in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         run_command([])
     assert info.value.code == 1

@@ -29,7 +29,7 @@ def sympy_reduced_basis(ctx, polys):
         exprs, *(symbols[name] for name in ctx.variables), order="lex", domain=domain
     )
     theirs = [parse_expression(str(g).replace("**", "^"), ctx).monic() for g in basis.exprs]
-    return sorted(theirs, key=lambda g: g.terms[0].monomial.exponents, reverse=True)
+    return sorted(theirs, key=lambda g: g.terms[0].monomial, reverse=True)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
