@@ -21,6 +21,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
+from .intgcd import common_divisor, coprime, integer_primitive, is_constant
+
 Exponents = tuple[int, ...]
 
 
@@ -341,97 +343,19 @@ def _pseudo_rem(f: ParamPoly, g: ParamPoly, index: int) -> ParamPoly:
     return r
 
 
-# The gcd certificate (Brown, J. ACM 18, 1971).  Map p and q to Z_P[t] for
-# one parameter t, with every other parameter at a fixed point.  When neither
-# leading coefficient in t vanishes there, the image of gcd(p, q) keeps its
-# degree in t and divides both images (Gauss's lemma), so the degree of the
-# image gcd bounds the degree in t of the true gcd from above.  An unlucky
-# point only makes the bound decide nothing; it is never wrong.
-_PRIME = 2**61 - 1
+def _heuristic_gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly | None:
+    """gcd(p, q) up to a unit, or None when GCDHEU finds no common divisor it can prove.
 
-
-def _point_value(index: int) -> int:
-    """The fixed value of the parameter at index in every image."""
-    return 4 ** (index + 5) + 7
-
-
-def _image(p: ParamPoly, index: int, degree: int) -> list[int] | None:
-    """p in Z_P[t] for the parameter t at index, dense with the constant first.
-
-    None when a denominator is divisible by P or the leading coefficient in t
-    vanishes at the point, since the image would then lose degree.
+    A common divisor is the gcd when one cofactor is constant or the
+    cofactors are coprime.
     """
-    values = [_point_value(j) for j in range(len(p.params))]
-    dense = [0] * (degree + 1)
-    for exps, c in p.terms:
-        den = c.denominator % _PRIME
-        if not den:
-            return None
-        v = c.numerator if den == 1 else c.numerator * pow(den, -1, _PRIME)
-        for j, e in enumerate(exps):
-            if e and j != index:
-                v = v * pow(values[j], e, _PRIME)
-        dense[exps[index]] += v
-    dense = [v % _PRIME for v in dense]
-    return dense if dense[-1] else None
-
-
-def _image_gcd_degree(f: list[int], g: list[int]) -> int:
-    """Degree of the gcd of two nonzero dense polynomials over Z_P."""
-    while g:
-        f = f[:]
-        dg = len(g) - 1
-        inverse = pow(g[-1], -1, _PRIME)
-        for k in range(len(f) - 1, dg - 1, -1):
-            c = f[k] * inverse % _PRIME
-            if c:
-                shift = k - dg
-                for j in range(dg):  # the leading term cancels exactly
-                    f[shift + j] = (f[shift + j] - c * g[j]) % _PRIME
-        del f[dg:]
-        while f and not f[-1]:
-            f.pop()
-        f, g = g, f
-    return len(f) - 1
-
-
-def _certified_gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly | None:
-    """gcd(p, q) up to a unit when the images decide it, else None.
-
-    Bounds of 0 for every shared parameter prove the gcd is 1, since the gcd
-    contains no parameter that only one input contains.  Bounds equal to one
-    input's degrees make that input the candidate, and an exact division of
-    the other proves it.
-    """
-    width = len(p.params)
-    dp = [p.degree_in(i) for i in range(width)]
-    dq = [q.degree_in(i) for i in range(width)]
-    coprime = True
-    p_candidate = all(dq[i] >= dp[i] for i in range(width))
-    q_candidate = all(dp[i] >= dq[i] for i in range(width))
-    for i in range(width):
-        if not (dp[i] and dq[i]):
-            continue
-        fp = _image(p, i, dp[i])
-        fq = _image(q, i, dq[i])
-        if fp is None or fq is None:
-            return None
-        bound = _image_gcd_degree(fp, fq)
-        coprime = coprime and bound == 0
-        p_candidate = p_candidate and bound == dp[i]
-        q_candidate = q_candidate and bound == dq[i]
-        if not (coprime or p_candidate or q_candidate):
-            return None
-    if coprime:
-        return ParamPoly.constant(p.params, 1)
-    for divisor, other, candidate in ((p, q, p_candidate), (q, p, q_candidate)):
-        if candidate:
-            try:
-                other.exact_div(divisor)
-            except ValueError:
-                continue
-            return _normalize_sign(divisor)
-    return None
+    found = common_divisor(integer_primitive(p.terms), integer_primitive(q.terms))
+    if found is None:
+        return None
+    h, cf, cg = found
+    if not (is_constant(cf) or is_constant(cg) or coprime(cf.items(), cg.items())):
+        return None
+    return ParamPoly._make(p.params, _lex_sorted({e: Fraction(c) for e, c in h.items()}))
 
 
 def _gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly:
@@ -444,9 +368,11 @@ def _gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly:
     if len(p.terms) == 1 or len(q.terms) == 1:
         mono = tuple(min(a, b) for a, b in zip(_monomial_content(p), _monomial_content(q)))
         return ParamPoly(p.params, [(mono, Fraction(1))])
-    certified = _certified_gcd(p, q)
-    if certified is not None:
-        return certified
+    if coprime(p.terms, q.terms):
+        return ParamPoly.constant(p.params, 1)
+    heuristic = _heuristic_gcd(p, q)
+    if heuristic is not None:
+        return heuristic
     index = 0
     while p.degree_in(index) == 0 and q.degree_in(index) == 0:
         index += 1
@@ -618,6 +544,8 @@ class ParamFraction:
             return NotImplemented
         if not self.num or not other.num:
             return ParamFraction.zero(self.params)
+        if self.den.is_one() and other.den.is_one():
+            return ParamFraction._raw(self.num * other.num, self.den)
         g1 = param_poly_gcd(self.num, other.den)
         g2 = param_poly_gcd(other.num, self.den)
         num = self.num.exact_div(g1) * other.num.exact_div(g2)

@@ -2,7 +2,13 @@
 
 Collects the acceptance-suite outcomes and prints one line per criterion at
 the end of the run, so the pinned regression set is auditable at a glance.
+The ``remainder_sequence`` fixture turns the heuristic gcd off, so the gcd
+tests that take it reach the exact remainder sequence.
 """
+
+import pytest
+
+from gbgeom import coefficients
 
 _CRITERIA = {}
 _OUTCOMES = {}
@@ -35,3 +41,9 @@ def pytest_terminal_summary(terminalreporter):
     for nodeid, (number, label) in entries:
         outcome = _OUTCOMES.get(nodeid, "NOT RUN")
         terminalreporter.write_line(f"criterion {number}: {label}: {outcome}")
+
+
+@pytest.fixture
+def remainder_sequence(monkeypatch):
+    """Every parameter gcd the coprimality proof leaves open runs the remainder sequence."""
+    monkeypatch.setattr(coefficients, "_heuristic_gcd", lambda p, q: None)

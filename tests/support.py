@@ -117,6 +117,12 @@ def cyclic(n):
     return VarContext(names), polys + ["*".join(names) + " - 1"]
 
 
+def stress_system():
+    """The parametric stress system over Q(a, b, c): an ellipsoid, a cylinder and x*y*z = c."""
+    ctx = VarContext(XYZ, ("a", "b", "c"))
+    return ctx, ["x^2/a^2 + y^2/b^2 + z^2/c^2 - 1", "x^2 + y^2 - a*x", "x*y*z - c"]
+
+
 def quadric_pair(seed, params):
     """Two sparse quadrics in x, y, z, three terms each, with seeded coefficients."""
     rng = random.Random(seed)

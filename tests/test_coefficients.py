@@ -1,19 +1,22 @@
 """Parametric coefficient field: polynomial arithmetic, gcd, canonical fractions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from gbgeom import coefficients
 from gbgeom.coefficients import (
-    _PRIME,
     ParamFraction,
     ParamPoly,
     fraction_gcd,
     normalize_fraction,
     param_poly_gcd,
     param_poly_lcm,
-    _point_value,
 )
+from gbgeom.intgcd import PRIME, point_value
+
+from support import random_nonzero_param_poly
 
 AB = ("a", "b")
 
@@ -128,8 +131,8 @@ def test_param_poly_gcd_positive_leading_sign():
 
 # Inputs that are unlucky at the fixed point of the gcd certificate: each
 # must fall through to the remainder sequence and get its answer.
-VA = _point_value(0)
-VB = _point_value(1)
+VA = point_value(0)
+VB = point_value(1)
 
 
 def test_param_poly_gcd_when_a_leading_coefficient_vanishes_at_the_point():
@@ -140,13 +143,91 @@ def test_param_poly_gcd_when_a_leading_coefficient_vanishes_at_the_point():
 
 def test_param_poly_gcd_when_a_denominator_is_divisible_by_the_prime():
     g = A * B + ONE
-    left = g * (A + B * Fraction(1, _PRIME))
+    left = g * (A + B * Fraction(1, PRIME))
     assert param_poly_gcd(left, g * (A + B + ONE)) == g
 
 
 def test_param_poly_gcd_when_coprime_inputs_have_a_common_image():
     # both images are a - VA (in a) and b - VB up to sign (in b)
     assert param_poly_gcd((A - VA) + (B - VB), (A - VA) - (B - VB)) == ONE
+
+
+UNLUCKY_POINTS = (
+    test_param_poly_gcd_when_a_leading_coefficient_vanishes_at_the_point,
+    test_param_poly_gcd_when_a_denominator_is_divisible_by_the_prime,
+    test_param_poly_gcd_when_coprime_inputs_have_a_common_image,
+)
+
+
+@pytest.mark.parametrize("case", UNLUCKY_POINTS, ids=lambda case: case.__name__[len("test_"):])
+def test_unlucky_points_by_remainder_sequence(case, remainder_sequence):
+    case()
+
+
+C = ParamPoly.parameter(("a", "b", "c"), "c")
+A3, B3 = (ParamPoly.parameter(("a", "b", "c"), name) for name in ("a", "b"))
+
+# (gcd, cofactor of p, cofactor of q), each a proper factor of both inputs
+# unless a cofactor is one
+HAND_MADE_GCDS = {
+    "coefficients over 10^30": (
+        A * 10**30 + B * (10**30 + 7) + 3 * 10**30 + 1,
+        A * B - 10**31,
+        A + B * 2 + 10**30 + 9,
+    ),
+    "rational coefficients": (
+        A * Fraction(1, 3) + B * Fraction(2, 7) + Fraction(1, 5),
+        A + Fraction(1, 2),
+        A * B - Fraction(3, 4),
+    ),
+    "a parameter in one input only": (A3 * B3 + 1, C + A3, A3 - B3),
+    "the gcd is one input": (A * A * B - B + 3, ParamPoly.constant(AB, 1), A * B + 1),
+    # a^2 + a and a^2 + a + 2 are even at every integer, so every image gcd
+    # is twice the image of a + b
+    "image gcds with extra content": (A + B, A * A + A, A * A + A + 2),
+}
+
+
+def same_up_to_a_unit(p, q):
+    return p.mul_ground(q.leading_coefficient() / p.leading_coefficient()) == q
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE_GCDS))
+def test_heuristic_gcd_of_hand_made_inputs(name):
+    g, cp, cq = HAND_MADE_GCDS[name]
+    assert same_up_to_a_unit(coefficients._heuristic_gcd(g * cp, g * cq), g)
+
+
+@pytest.mark.parametrize("route", ["heuristic", "remainder sequence"])
+@pytest.mark.parametrize("name", sorted(HAND_MADE_GCDS))
+def test_param_poly_gcd_of_hand_made_inputs(name, route, request):
+    if route == "remainder sequence":
+        request.getfixturevalue("remainder_sequence")
+    g, cp, cq = HAND_MADE_GCDS[name]
+    gcd = param_poly_gcd(g * cp, g * cq)
+    assert gcd.content() == 1 and gcd.leading_coefficient() > 0
+    assert same_up_to_a_unit(gcd, g)
+
+
+def integer_terms(p):
+    return {e: int(c) for e, c in p.terms}
+
+
+def test_heuristic_gcd_needs_coprime_cofactors(monkeypatch):
+    g = A + B
+    cases = [
+        # 1 divides both inputs, but the cofactors share a + b
+        ((ONE, g * (A + ONE), g * (B + 2)), None),
+        ((g, A + ONE, B + 2), g),
+        # a constant cofactor needs no proof: the other input is a multiple of g
+        ((g, ONE, B + 2), g),
+    ]
+    for found, expected in cases:
+        h, cf, cg = found
+        answer = tuple(map(integer_terms, found))
+        monkeypatch.setattr(coefficients, "common_divisor", lambda *inputs, answer=answer: answer)
+        assert coefficients._heuristic_gcd(h * cf, h * cg) == expected
+
 
 def test_param_poly_lcm():
     assert param_poly_lcm(A * B, A * A) == A * A * B
@@ -196,6 +277,16 @@ def test_param_fraction_multiplication_cross_cancels():
     assert (a / b) * b == a
     product = ParamFraction(A + B, A) * ParamFraction(A, A - B)
     assert product == ParamFraction(A + B, A - B)
+
+
+def test_product_of_polynomial_fractions_needs_no_gcd():
+    rng = random.Random(817)
+    for _ in range(200):
+        p = random_nonzero_param_poly(rng, AB, max_terms=3, span=5)
+        q = random_nonzero_param_poly(rng, AB, max_terms=3, span=5)
+        product = ParamFraction(p) * ParamFraction(q)
+        assert product == normalize_fraction(p * q, ONE)
+        assert product.den == ONE
 
 
 def test_param_fraction_powers_and_division():

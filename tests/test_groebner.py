@@ -25,6 +25,7 @@ from support import (
     katsura,
     random_nonzero_polynomial,
     reference_buchberger,
+    stress_system,
     systems,
 )
 
@@ -193,6 +194,14 @@ def test_cyclic_5_completes():
     gens = parsed(cyclic(5))
     gb = reduced_basis(gens)
     assert len(gb) == 11
+    assert is_groebner(gb)
+    assert not any(normal_form(g, gb) for g in gens)
+
+
+def test_stress_system_completes():
+    gens = parsed(stress_system())
+    gb = reduced_basis(gens)
+    assert lm_exponents(gb) == [(1, 0, 0), (0, 1, 0), (0, 0, 12)]
     assert is_groebner(gb)
     assert not any(normal_form(g, gb) for g in gens)
 

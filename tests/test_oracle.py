@@ -15,18 +15,27 @@ sympy = pytest.importorskip("sympy")
 
 from gbgeom import ParamPoly, param_poly_gcd, parse_expression, reduced_basis  # noqa: E402
 
-from support import katsura, random_nonzero_param_poly, systems  # noqa: E402
+from support import (  # noqa: E402
+    katsura,
+    random_nonzero_param_poly,
+    stress_system,
+    systems,
+)
 
 SYSTEMS = {**systems(), "katsura-3": katsura(3)}
 
 
-def sympy_reduced_basis(ctx, polys):
+def sympy_reduced_basis(ctx, polys, method="buchberger"):
     """sympy's reduced lex basis, parsed back into gbgeom and made monic."""
     symbols = {name: sympy.Symbol(name) for name in ctx.variables + ctx.parameters}
     exprs = [sympy.sympify(text.replace("^", "**"), locals=symbols) for text in polys]
     domain = f"QQ({','.join(ctx.parameters)})" if ctx.parameters else "QQ"
     basis = sympy.groebner(
-        exprs, *(symbols[name] for name in ctx.variables), order="lex", domain=domain
+        exprs,
+        *(symbols[name] for name in ctx.variables),
+        order="lex",
+        domain=domain,
+        method=method,
     )
     theirs = [parse_expression(str(g).replace("**", "^"), ctx).monic() for g in basis.exprs]
     return sorted(theirs, key=lambda g: g.terms[0].monomial, reverse=True)
@@ -37,6 +46,12 @@ def test_reduced_basis_matches_sympy(name):
     ctx, polys = SYSTEMS[name]
     ours = reduced_basis([parse_expression(text, ctx) for text in polys]).elements
     assert list(ours) == sympy_reduced_basis(ctx, polys)
+
+
+def test_stress_system_matches_sympy_f5b():
+    ctx, polys = stress_system()
+    ours = reduced_basis([parse_expression(text, ctx) for text in polys]).elements
+    assert list(ours) == sympy_reduced_basis(ctx, polys, method="f5b")
 
 
 ABC = ("a", "b", "c")
@@ -67,3 +82,8 @@ def test_param_poly_gcd_matches_sympy(seed):
     theirs = ParamPoly(ABC, [(e, Fraction(c.numerator, c.denominator)) for e, c in gcd.terms()])
     # equal up to the normalization: a rational factor
     assert theirs.mul_ground(ours.leading_coefficient() / theirs.leading_coefficient()) == ours
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_param_poly_gcd_matches_sympy_by_remainder_sequence(seed, remainder_sequence):
+    test_param_poly_gcd_matches_sympy(seed)

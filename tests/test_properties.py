@@ -105,6 +105,11 @@ def test_param_gcd_keeps_a_planted_factor():
             p.exact_div(gcd)
             q.exact_div(gcd)
 
+
+def test_param_gcd_keeps_a_planted_factor_by_remainder_sequence(remainder_sequence):
+    test_param_gcd_keeps_a_planted_factor()
+
+
 def test_polynomial_ring_axioms():
     rng = random.Random(109)
     for _ in range(300):
