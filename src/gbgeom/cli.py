@@ -124,15 +124,15 @@ def _cmd_reduce(args) -> int:
         payload = _envelope(ctx) | {
             "basis": _basis_entries(basis),
             "cofactors": [str(q) for q in cofactors],
-            "normal_form": str(remainder) if remainder else "0",
+            "normal_form": str(remainder),
         }
         _emit_json(payload)
         return 0
     for index, g in enumerate(basis, start=1):
         print(f"basis {index}: {g}")
     for index, q in enumerate(cofactors, start=1):
-        print(f"cofactor {index}: {q if q else 0}")
-    print(f"normal form: {remainder if remainder else 0}")
+        print(f"cofactor {index}: {q}")
+    print(f"normal form: {remainder}")
     return 0
 
 

@@ -3,7 +3,9 @@
 Coefficients live in the field Q(p1, ..., pk) of rational functions in a fixed
 tuple of parameter names.  ``ParamPoly`` is a multivariate polynomial over Q in
 those parameters; ``ParamFraction`` is a quotient of two of them kept in a
-canonical form, so equality is structural and hashing is cheap.  When there
+canonical form, so equality is structural and hashing is cheap.  The gcds
+that keep it canonical come from ``intgcd.gcd`` with their cofactors, so
+cancelling a gcd divides nothing again.  When there
 are no parameters (k = 0) the field is Q itself and its elements are plain
 ``Fraction`` values: ``VarContext.coefficient`` picks the domain from the
 parameter tuple, and code shared by both domains combines coefficients only
@@ -11,7 +13,7 @@ through operators both types support (``+``, ``*``, ``1 / c``, ``c == 1``).
 ``_lifted`` turns a ``Fraction`` into a ``ParamFraction`` for the few places
 that need a numerator and a denominator polynomial.
 
-Everything here is immutable and exact; no floats anywhere.
+Everything here is immutable and exact; the constructors refuse floats.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .intgcd import common_divisor, coprime, integer_primitive, is_constant
+from .intgcd import _exact_quotient, gcd, integer_primitive, is_constant
 
 Exponents = tuple[int, ...]
 
@@ -36,6 +38,24 @@ def fraction_gcd(values: Iterable[Fraction]) -> Fraction:
         num = math.gcd(num, abs(v.numerator))
         den = math.lcm(den, v.denominator)
     return Fraction(num, den)
+
+
+def _exponents(exponents: Iterable[int], count: int) -> Exponents:
+    """An exponent tuple from outside, checked to hold count non-negative ints."""
+    exponents = tuple(exponents)
+    if len(exponents) != count:
+        raise ValueError("exponent tuple has wrong length")
+    for e in exponents:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent is not a non-negative integer: {e!r}")
+    return exponents
+
+
+def _rational(value) -> Fraction:
+    """An int or a Fraction as a Fraction; anything else is not exact."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an exact coefficient: {value!r}")
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _monomial_str(names: tuple[str, ...], exponents: Exponents) -> str:
@@ -129,14 +149,16 @@ class ParamPoly:
     Terms are held as a tuple of ``(exponents, coefficient)`` pairs sorted in
     descending lexicographic order of the exponent tuples, with nonzero
     Fraction coefficients.  The representation is canonical, so ``==`` and
-    ``hash`` are structural.
+    ``hash`` are structural.  The constructor takes int or Fraction
+    coefficients and checks each exponent tuple against the parameters.
     """
 
     __slots__ = ("params", "terms")
 
     def __init__(self, params: tuple[str, ...], terms: Iterable[tuple[Exponents, Fraction]] = ()):
         self.params = tuple(params)
-        self.terms = _lex_sorted(_collect(terms, {}))
+        pairs = ((_exponents(e, len(self.params)), _rational(c)) for e, c in terms)
+        self.terms = _lex_sorted(_collect(pairs, {}))
 
     @classmethod
     def _make(cls, params: tuple[str, ...], terms: tuple) -> "ParamPoly":
@@ -147,7 +169,7 @@ class ParamPoly:
 
     @classmethod
     def constant(cls, params: tuple[str, ...], value) -> "ParamPoly":
-        value = Fraction(value)
+        value = _rational(value)
         return cls._make(tuple(params), (((0,) * len(params), value),) if value else ())
 
     @classmethod
@@ -244,19 +266,6 @@ class ParamPoly:
         """Evaluate at the point; only parameters that occur need a value."""
         return _evaluate(self.params, self.terms, values)
 
-    def degree_in(self, index: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[index] for e, _ in self.terms)
-
-    def coefficient_in(self, index: int, degree: int) -> "ParamPoly":
-        """Coefficient of the given power of one parameter, as a polynomial."""
-        # terms that agree on one exponent stay distinct and sorted when it is zeroed
-        picked = tuple(
-            (e[:index] + (0,) + e[index + 1:], c) for e, c in self.terms if e[index] == degree
-        )
-        return ParamPoly._make(self.params, picked)
-
     def content(self) -> Fraction:
         return fraction_gcd(c for _, c in self.terms)
 
@@ -268,30 +277,16 @@ class ParamPoly:
 
     def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
         """Quotient self / divisor, raising ValueError unless it divides exactly."""
+        # the primitive integer parts divide over Z when they do over Q (Gauss's lemma)
         self._check(divisor)
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return self
-        if divisor.is_constant():
-            return self.quo_ground(divisor.constant_value())
-        dexps, dcoeff = divisor.terms[0]
-        if len(divisor.terms) == 1:
-            if any(e < d for exps, _ in self.terms for e, d in zip(exps, dexps)):
-                raise ValueError("not exactly divisible")
-            shift = tuple(-d for d in dexps)
-            return ParamPoly._make(self.params, _scale(self.terms, 1 / dcoeff, shift))
-        rem = dict(self.terms)
-        quo = []
-        while rem:
-            exps = max(rem)
-            qe = tuple(a - b for a, b in zip(exps, dexps))
-            if any(e < 0 for e in qe):
-                raise ValueError("not exactly divisible")
-            qc = rem[exps] / dcoeff
-            quo.append((qe, qc))  # qe falls strictly, so quo stays lex-sorted
-            _collect(_scale(divisor.terms, -qc, qe), rem)
-        return ParamPoly._make(self.params, tuple(quo))
+        scale, f = integer_primitive(self.terms)
+        divisor_scale, h = integer_primitive(divisor.terms)
+        quo = f and _exact_quotient(f, h)
+        if quo is None:
+            raise ValueError("not exactly divisible")
+        return _from_integers(self.params, quo, scale / divisor_scale)
 
     def _check(self, other: "ParamPoly") -> None:
         if self.params != other.params:
@@ -304,97 +299,21 @@ class ParamPoly:
         return f"ParamPoly({str(self)!r}, params={self.params!r})"
 
 
-def _monomial_content(p: ParamPoly) -> Exponents:
-    mins = list(p.terms[0][0])
-    for exps, _ in p.terms[1:]:
-        for i, e in enumerate(exps):
-            if e < mins[i]:
-                mins[i] = e
-    return tuple(mins)
+def _from_integers(params: tuple[str, ...], f: dict, scale: Fraction) -> ParamPoly:
+    """scale times the integer polynomial f."""
+    return ParamPoly._make(params, _lex_sorted({e: scale * c for e, c in f.items()}))
 
 
-def _normalize_sign(p: ParamPoly) -> ParamPoly:
-    p = p.primitive()
-    if p and p.leading_coefficient() < 0:
-        p = -p
-    return p
-
-
-def _content_in(p: ParamPoly, index: int) -> ParamPoly:
-    cont = ParamPoly(p.params)
-    for degree in range(p.degree_in(index) + 1):
-        c = p.coefficient_in(index, degree)
-        if c:
-            cont = _gcd(cont, c)
-            if cont.is_constant():
-                break
-    return _normalize_sign(cont) if not cont.is_constant() else ParamPoly.constant(p.params, 1)
-
-
-def _pseudo_rem(f: ParamPoly, g: ParamPoly, index: int) -> ParamPoly:
-    dg = g.degree_in(index)
-    lead_g = g.coefficient_in(index, dg)
-    r = f
-    while r and r.degree_in(index) >= dg:
-        dr = r.degree_in(index)
-        lead_r = r.coefficient_in(index, dr)
-        shift = tuple(dr - dg if j == index else 0 for j in range(len(f.params)))
-        r = lead_g * r - lead_r * ParamPoly._make(f.params, _scale(g.terms, 1, shift))
-    return r
-
-
-def _heuristic_gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly | None:
-    """gcd(p, q) up to a unit, or None when GCDHEU finds no common divisor it can prove.
-
-    A common divisor is the gcd when one cofactor is constant or the
-    cofactors are coprime.
-    """
-    found = common_divisor(integer_primitive(p.terms), integer_primitive(q.terms))
-    if found is None:
-        return None
-    h, cf, cg = found
-    if not (is_constant(cf) or is_constant(cg) or coprime(cf.items(), cg.items())):
-        return None
-    return ParamPoly._make(p.params, _lex_sorted({e: Fraction(c) for e, c in h.items()}))
-
-
-def _gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly:
-    if not p:
-        return q
-    if not q:
-        return p
-    if p.is_constant() or q.is_constant():
-        return ParamPoly.constant(p.params, 1)
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        mono = tuple(min(a, b) for a, b in zip(_monomial_content(p), _monomial_content(q)))
-        return ParamPoly(p.params, [(mono, Fraction(1))])
-    if coprime(p.terms, q.terms):
-        return ParamPoly.constant(p.params, 1)
-    heuristic = _heuristic_gcd(p, q)
-    if heuristic is not None:
-        return heuristic
-    index = 0
-    while p.degree_in(index) == 0 and q.degree_in(index) == 0:
-        index += 1
-    dp = p.degree_in(index)
-    dq = q.degree_in(index)
-    if dp == 0:
-        return _gcd(p, _content_in(q, index))
-    if dq == 0:
-        return _gcd(_content_in(p, index), q)
-    cont_p = _content_in(p, index)
-    cont_q = _content_in(q, index)
-    cont = _gcd(cont_p, cont_q)
-    f = _normalize_sign(p.exact_div(cont_p))
-    g = _normalize_sign(q.exact_div(cont_q))
-    if f.degree_in(index) < g.degree_in(index):
-        f, g = g, f
-    while g:
-        r = _pseudo_rem(f, g, index)
-        if r:
-            r = _normalize_sign(r.exact_div(_content_in(r, index)))
-        f, g = g, r
-    return cont * f
+def _gcd_parts(p: ParamPoly, q: ParamPoly) -> tuple[ParamPoly, ParamPoly, ParamPoly]:
+    """(h, p / h, q / h) for the canonical gcd h, from one call of ``intgcd.gcd``."""
+    p._check(q)
+    p_scale, f = integer_primitive(p.terms)
+    q_scale, g = integer_primitive(q.terms)
+    h, f, g = gcd(f, g)
+    if is_constant(h):
+        return ParamPoly.constant(p.params, 1), p, q
+    parts = ((h, Fraction(1)), (f, p_scale), (g, q_scale))
+    return tuple(_from_integers(p.params, part, scale) for part, scale in parts)
 
 
 def param_poly_gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly:
@@ -403,17 +322,15 @@ def param_poly_gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly:
     The gcd of two zero polynomials is zero; a nonzero constant is a unit, so
     any pair involving one has gcd 1.
     """
-    p._check(q)
-    if not p and not q:
-        return p
-    return _normalize_sign(_gcd(p, q))
+    return _gcd_parts(p, q)[0]
 
 
 def param_poly_lcm(p: ParamPoly, q: ParamPoly) -> ParamPoly:
     p._check(q)
     if not p or not q:
         return ParamPoly(p.params)
-    return _normalize_sign((p * q).exact_div(param_poly_gcd(p, q)))
+    lcm = (p * _gcd_parts(p, q)[2]).primitive()
+    return -lcm if lcm.leading_coefficient() < 0 else lcm
 
 
 class ParamFraction:
@@ -515,13 +432,12 @@ class ParamFraction:
             return NotImplemented
         if self.den == other.den:
             return normalize_fraction(self.num + other.num, self.den)
-        g = param_poly_gcd(self.den, other.den)
+        g, d1, d2 = _gcd_parts(self.den, other.den)
+        num = self.num * d2 + other.num * d1
+        # coprime denominators leave the sum in lowest terms
         if g.is_one():
-            num = self.num * other.den + other.num * self.den
             return _scaled(num, self.den * other.den)
-        d1 = self.den.exact_div(g)
-        d2 = other.den.exact_div(g)
-        return normalize_fraction(self.num * d2 + other.num * d1, d1 * d2 * g)
+        return normalize_fraction(num, d1 * other.den)
 
     def __radd__(self, other) -> "ParamFraction":
         return self.__add__(other)
@@ -546,11 +462,9 @@ class ParamFraction:
             return ParamFraction.zero(self.params)
         if self.den.is_one() and other.den.is_one():
             return ParamFraction._raw(self.num * other.num, self.den)
-        g1 = param_poly_gcd(self.num, other.den)
-        g2 = param_poly_gcd(other.num, self.den)
-        num = self.num.exact_div(g1) * other.num.exact_div(g2)
-        den = self.den.exact_div(g2) * other.den.exact_div(g1)
-        return _scaled(num, den)
+        _, n1, d2 = _gcd_parts(self.num, other.den)
+        _, n2, d1 = _gcd_parts(other.num, self.den)
+        return _scaled(n1 * n2, d1 * d2)
 
     def __rmul__(self, other) -> "ParamFraction":
         return self.__mul__(other)
@@ -617,10 +531,7 @@ def normalize_fraction(num: ParamPoly, den: ParamPoly) -> ParamFraction:
         return ParamFraction.zero(num.params)
     if den.is_one():
         return ParamFraction._raw(num, den)
-    g = param_poly_gcd(num, den)
-    if not g.is_one():
-        num = num.exact_div(g)
-        den = den.exact_div(g)
+    _, num, den = _gcd_parts(num, den)
     return _scaled(num, den)
 
 

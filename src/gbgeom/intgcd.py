@@ -1,16 +1,22 @@
-"""Gcd machinery for sparse polynomials over Z, for the coefficient field.
+"""The gcd of the coefficient field, on sparse polynomials over Z.
 
-Polynomials here are ``{exponents: int}`` dicts, or sequences of
-``(exponents, coefficient)`` pairs with int or Fraction coefficients, so the
-code needs nothing from the classes that use it.  ``coprime`` proves two
-polynomials coprime from modular images; ``common_divisor`` finds a common
-divisor and its cofactors with the heuristic gcd GCDHEU.  The caller turns
-the two into a proven gcd.
+Polynomials here are ``{exponents: int}`` dicts, so the code needs nothing
+from the classes that use it; ``integer_primitive`` turns nonzero Fraction
+terms into such a dict and the rational it was scaled by.  ``gcd`` takes two
+primitive polynomials and returns their gcd, primitive with a positive
+leading coefficient, together with both cofactors, so a caller that cancels
+the gcd divides nothing again.  Every answer is proven: after the zero,
+constant and monomial shortcuts, ``coprime`` proves most pairs coprime from
+modular images; the heuristic gcd GCDHEU (``common_divisor``) finds a common
+divisor and its cofactors, which counts when a cofactor is constant or
+``coprime`` proves the cofactors coprime; anything else runs the primitive
+remainder sequence over Z.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from operator import add, sub
 
 # The coprimality proof (Brown, J. ACM 18, 1971).  Map p and q to Z_P[t] for
@@ -27,23 +33,18 @@ def point_value(index: int) -> int:
     return 4 ** (index + 5) + 7
 
 
-def _image(terms, index: int, degree: int, values: list[int]) -> list[int] | None:
-    """The terms in Z_P[t] for the parameter t at index, dense with the constant first.
+def _image(f: dict, index: int, degree: int, values: list[int]) -> list[int] | None:
+    """f in Z_P[t] for the parameter t at index, dense with the constant first.
 
-    Coefficients may be ints or Fractions.  None when a denominator is
-    divisible by P or the leading coefficient in t vanishes at the point,
-    since the image would then lose degree.
+    None when the leading coefficient in t vanishes at the point, since the
+    image would then lose degree.
     """
     dense = [0] * (degree + 1)
-    for exps, c in terms:
-        den = c.denominator % PRIME
-        if not den:
-            return None
-        v = c.numerator if den == 1 else c.numerator * pow(den, -1, PRIME)
+    for exps, c in f.items():
         for j, e in enumerate(exps):
             if e and j != index:
-                v = v * pow(values[j], e, PRIME)
-        dense[exps[index]] += v
+                c = c * pow(values[j], e, PRIME)
+        dense[exps[index]] += c
     dense = [v % PRIME for v in dense]
     return dense if dense[-1] else None
 
@@ -67,47 +68,44 @@ def _image_gcd_degree(f: list[int], g: list[int]) -> int:
     return len(f) - 1
 
 
-def _degrees(terms) -> list[int]:
-    """The degree in each parameter of nonzero terms."""
-    return [max(column) for column in zip(*(exps for exps, _ in terms))]
+def _degrees(f: dict) -> list[int]:
+    """The degree in each parameter of a nonzero polynomial."""
+    return [max(column) for column in zip(*f)]
 
 
-def coprime(p_terms, q_terms) -> bool:
-    """True when the images prove two nonzero term sequences coprime.
+def coprime(f: dict, g: dict) -> bool:
+    """True when the images prove two nonzero polynomials coprime.
 
     Bounds of 0 for every shared parameter prove the gcd is a constant,
     since the gcd contains no parameter that only one input contains.
     False decides nothing.
     """
-    dp = _degrees(p_terms)
-    dq = _degrees(q_terms)
-    values = [point_value(j) for j in range(len(dp))]
-    for i in range(len(dp)):
-        if not (dp[i] and dq[i]):
-            continue
-        fp = _image(p_terms, i, dp[i], values)
-        fq = _image(q_terms, i, dq[i], values)
-        if fp is None or fq is None or _image_gcd_degree(fp, fq):
-            return False
+    df, dg = _degrees(f), _degrees(g)
+    values = [point_value(j) for j in range(len(df))]
+    for i, (a, b) in enumerate(zip(df, dg)):
+        if a and b:
+            ff, gg = _image(f, i, a, values), _image(g, i, b, values)
+            if ff is None or gg is None or _image_gcd_degree(ff, gg):
+                return False
     return True
 
 
-# The heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989) on
-# {exponents: int} dicts.  Set the last parameter to an integer xi, take the
-# gcd of the images one level down, and read a candidate off the symmetric
-# xi-adic digits of the image gcd (or of a cofactor image).  A candidate
-# counts only when it divides both inputs exactly over Z, so every level
-# returns a true common divisor.  It is the greatest one when a cofactor is
-# constant or ``coprime`` proves the cofactors coprime, which the caller checks.
+# The heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989).
+# Set the last parameter to an integer xi, take the gcd of the images one
+# level down, and read a candidate off the symmetric xi-adic digits of the
+# image gcd (or of a cofactor image).  A candidate counts only when it
+# divides both inputs exactly over Z, so every level returns a true common
+# divisor.  It is the greatest one when a cofactor is constant or
+# ``coprime`` proves the cofactors coprime, which ``_heuristic_gcd`` checks.
 _HEURISTIC_POINTS = 6
 
 
-def integer_primitive(terms) -> dict:
-    """Nonzero Fraction terms times the rational that makes them primitive over Z."""
+def integer_primitive(terms) -> tuple[Fraction, dict]:
+    """(c, f) for Fraction terms equal to c * f, with f primitive over Z; (0, {}) for none."""
     scale = math.lcm(*(c.denominator for _, c in terms))
     ints = {e: c.numerator * (scale // c.denominator) for e, c in terms}
     content = math.gcd(*ints.values())
-    return {e: c // content for e, c in ints.items()}
+    return Fraction(content, scale), _quo_int(ints, content)
 
 
 def _quo_int(f: dict, c: int) -> dict:
@@ -123,10 +121,10 @@ def _exact_quotient(f: dict, h: dict) -> dict | None:
     """f / h over Z when h divides f exactly, else None."""
     lead = max(h)
     lead_coeff = h[lead]
-    tail = [(e, c) for e, c in h.items() if e != lead]
+    tail = {e: c for e, c in h.items() if e != lead}
     # in an exact quotient each degree is the difference of the degrees
-    room = list(map(sub, _degrees(f.items()), _degrees(h.items())))
-    if min(room) < 0:
+    room = list(map(sub, _degrees(f), _degrees(h)))
+    if min(room, default=0) < 0:
         return None
     rem = dict(f)
     quo = {}
@@ -139,13 +137,7 @@ def _exact_quotient(f: dict, h: dict) -> dict | None:
         if r:
             return None
         quo[qe] = qc
-        for e, c in tail:
-            key = tuple(map(add, e, qe))
-            total = rem.get(key, 0) - qc * c
-            if total:
-                rem[key] = total
-            else:
-                rem.pop(key, None)
+        _mul_add(rem, {qe: -qc}, tail)
     return quo
 
 
@@ -206,3 +198,98 @@ def common_divisor(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
                     return {e: c * content for e, c in h.items()}, cf, cg
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
+
+
+def _heuristic_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
+    """``gcd`` from GCDHEU for primitive f and g, or None when it proves nothing.
+
+    A common divisor is the gcd when one cofactor is constant or the
+    cofactors are coprime.
+    """
+    found = common_divisor(f, g)
+    if found is None:
+        return None
+    h, cf, cg = found
+    if not (is_constant(cf) or is_constant(cg) or coprime(cf, cg)):
+        return None
+    return found if h[max(h)] > 0 else (_quo_int(h, -1), _quo_int(cf, -1), _quo_int(cg, -1))
+
+
+# The fallback: the primitive remainder sequence in the first parameter t
+# either input contains, over Z[other parameters].  The contents in t are
+# gcds one parameter down, taken by ``gcd`` itself.
+
+
+def _primitive(f: dict) -> dict:
+    """Nonzero f over its integer content, with a positive leading coefficient."""
+    content = math.gcd(*f.values())
+    return _quo_int(f, content if f[max(f)] > 0 else -content)
+
+
+def _coefficient_in(f: dict, index: int, degree: int, shift: int = 0) -> dict:
+    """The coefficient of t^degree in f, for the parameter t at index, times t^shift."""
+    return {e[:index] + (shift,) + e[index + 1:]: c for e, c in f.items() if e[index] == degree}
+
+
+def _mul_add(acc: dict, f: dict, g: dict) -> dict:
+    """acc plus f * g, in place, dropping zeros."""
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(map(add, e1, e2))
+            acc[key] = acc.get(key, 0) + c1 * c2
+            if not acc[key]:
+                del acc[key]
+    return acc
+
+
+def _content_in(f: dict, index: int) -> dict:
+    """The gcd of the coefficients of f in the parameter at index."""
+    content: dict = {}
+    for degree in {e[index] for e in f}:
+        content = gcd(content, _primitive(_coefficient_in(f, index, degree)))[0]
+    return content
+
+
+def _remainder_sequence(f: dict, g: dict) -> dict:
+    """gcd(f, g) for primitive f and g, neither a constant nor a monomial."""
+    index = min(i for exps in (*f, *g) for i, e in enumerate(exps) if e)
+    contents = [_content_in(f, index), _content_in(g, index)]
+    f, g = map(_exact_quotient, (f, g), contents)
+    if _degrees(f)[index] < _degrees(g)[index]:
+        f, g = g, f
+    while g:
+        # r = lc(g)^k * f reduced by g in the parameter at index, up to sign
+        dg = _degrees(g)[index]
+        lead_g = _quo_int(_coefficient_in(g, index, dg), -1)
+        r = f
+        while r and (dr := _degrees(r)[index]) >= dg:
+            r = _mul_add(_mul_add({}, lead_g, r), _coefficient_in(r, index, dr, dr - dg), g)
+        if r:
+            r = _primitive(_exact_quotient(r, _content_in(r, index)))
+        f, g = g, r
+    return _primitive(_mul_add({}, gcd(*contents)[0], f))
+
+
+def gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
+    """(h, f / h, g / h) for the gcd h of primitive f and g over Z.
+
+    h is primitive with a positive leading coefficient, which makes it
+    canonical; the gcd of 0 and 0 is 0, with cofactors 0.
+    """
+    if not (f or g):
+        return {}, {}, {}
+    if not (f and g):
+        h = _primitive(f or g)
+    elif len(f) == 1 or len(g) == 1:
+        # a constant or a monomial: the gcd is the monomial of the least exponents
+        h = {tuple(map(min, *f, *g)): 1}
+    elif coprime(f, g):
+        h = {(0,) * len(next(iter(f))): 1}
+    else:
+        found = _heuristic_gcd(f, g)
+        if found is not None:
+            return found
+        h = _remainder_sequence(f, g)
+    if is_constant(h):
+        return h, f, g
+    return h, _exact_quotient(f, h), _exact_quotient(g, h)

@@ -28,6 +28,7 @@ from .coefficients import (
     ParamPoly,
     _collect,
     _evaluate,
+    _exponents,
     _join_signed,
     _lifted,
     _lex_sorted,
@@ -112,17 +113,6 @@ def _terms(pairs) -> tuple[Term, ...]:
     return tuple(Term(c, e) for e, c in pairs)
 
 
-def _exponents(context: VarContext, exponents: Iterable[int]) -> tuple[int, ...]:
-    """An exponent tuple from outside, checked against the context."""
-    exponents = tuple(exponents)
-    if len(exponents) != len(context.variables):
-        raise ValueError("exponent tuple has wrong length")
-    for e in exponents:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent is not a non-negative integer: {e!r}")
-    return exponents
-
-
 class Polynomial:
     """Polynomial with terms sorted descending under lex; immutable.
 
@@ -136,7 +126,7 @@ class Polynomial:
 
     def __init__(self, context: VarContext, terms: Iterable[Term] = ()):
         self.context = context
-        pairs = ((_exponents(context, m), context.coefficient(c)) for c, m in terms)
+        pairs = ((_exponents(m, len(context.variables)), context.coefficient(c)) for c, m in terms)
         self.terms = _terms(_lex_sorted(_collect(pairs, {})))
 
     @classmethod
@@ -275,7 +265,7 @@ def leading_parts(p: Polynomial) -> tuple[Term, tuple[int, ...], Coefficient]:
 
 def coefficient_of(p: Polynomial, monomial: Iterable[int]) -> Coefficient:
     """Coefficient of an exact monomial, zero when absent."""
-    monomial = _exponents(p.context, monomial)
+    monomial = _exponents(monomial, len(p.context.variables))
     for coeff, mono in p.terms:
         if mono == monomial:
             return coeff
@@ -343,8 +333,6 @@ RENDER_MODES = ("monic", "cleared")
 def render(p: Polynomial, mode: str = "monic") -> str:
     if mode not in RENDER_MODES:
         raise ValueError(f"unknown render mode {mode!r}")
-    if not p.terms:
-        return "0"
     if mode == "cleared":
         return str(clear_denominators(p))
     return str(p.monic())

@@ -3,12 +3,12 @@
 Collects the acceptance-suite outcomes and prints one line per criterion at
 the end of the run, so the pinned regression set is auditable at a glance.
 The ``remainder_sequence`` fixture turns the heuristic gcd off, so the gcd
-tests that take it reach the exact remainder sequence.
+tests that take it reach the remainder sequence over Z.
 """
 
 import pytest
 
-from gbgeom import coefficients
+from gbgeom import intgcd
 
 _CRITERIA = {}
 _OUTCOMES = {}
@@ -46,4 +46,4 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def remainder_sequence(monkeypatch):
     """Every parameter gcd the coprimality proof leaves open runs the remainder sequence."""
-    monkeypatch.setattr(coefficients, "_heuristic_gcd", lambda p, q: None)
+    monkeypatch.setattr(intgcd, "_heuristic_gcd", lambda f, g: None)

@@ -81,6 +81,27 @@ def random_nonzero_param_poly(rng, params, max_terms=3, max_degree=2, span=9):
             return p
 
 
+ORACLE_GCD_PARAMS = ("a", "b", "c")
+
+
+def _binomial_or_longer(rng):
+    """A seeded element of Q[a, b, c] with two or three terms; monomials have a shortcut."""
+    while True:
+        p = random_nonzero_param_poly(rng, ORACLE_GCD_PARAMS, max_terms=3, span=5)
+        if len(p.terms) > 1:
+            return p
+
+
+def oracle_gcd_pair(seed):
+    """The seeded pair whose gcd ``test_oracle`` checks; two in three share a factor."""
+    rng = random.Random(seed)
+    p, q = _binomial_or_longer(rng), _binomial_or_longer(rng)
+    if seed % 3:
+        g = _binomial_or_longer(rng)
+        p, q = p * g, q * g
+    return p, q
+
+
 def random_point(rng, names, span=5):
     """Evaluation point keyed by name; coordinates stay small to keep products exact and fast."""
     return {name: random_fraction(rng, span) for name in names}

@@ -1,11 +1,12 @@
 """Parametric coefficient field: polynomial arithmetic, gcd, canonical fractions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from gbgeom import coefficients
+from gbgeom import intgcd
 from gbgeom.coefficients import (
     ParamFraction,
     ParamPoly,
@@ -14,9 +15,9 @@ from gbgeom.coefficients import (
     param_poly_gcd,
     param_poly_lcm,
 )
-from gbgeom.intgcd import PRIME, point_value
+from gbgeom.intgcd import PRIME, integer_primitive, point_value
 
-from support import random_nonzero_param_poly
+from support import oracle_gcd_pair, random_nonzero_param_poly
 
 AB = ("a", "b")
 
@@ -55,6 +56,19 @@ def test_param_poly_terms_are_sorted_and_merged():
     assert not poly([((1, 0), Fraction(0))])
 
 
+def test_param_poly_refuses_inexact_coefficients_and_bad_exponents():
+    for make in (lambda: ParamPoly(("a",), [((1,), 0.1)]), lambda: ParamPoly.constant(AB, 0.1)):
+        with pytest.raises(TypeError, match="^not an exact coefficient: 0.1$"):
+            make()
+    with pytest.raises(ValueError, match="^exponent tuple has wrong length$"):
+        ParamPoly(AB, [((1,), 1)])
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match=f"^exponent is not a non-negative integer: {bad}$"):
+            ParamPoly(AB, [((1, bad), 1)])
+    # int coefficients are kept as Fractions
+    assert [type(c) for _, c in poly([((1, 0), 2), ((0, 0), 1)]).terms] == [Fraction, Fraction]
+
+
 def test_param_poly_arithmetic():
     assert (A + B) - B == A
     assert (A + B) * (A - B) == A * A - B * B
@@ -81,14 +95,6 @@ def test_param_poly_evaluate():
     assert p.evaluate({"a": Fraction(2), "b": Fraction(1, 2)}) == Fraction(9, 2)
 
 
-def test_param_poly_degree_and_coefficient_extraction():
-    p = A * A * B + A * B * 3 + ONE
-    assert p.degree_in(0) == 2
-    assert p.coefficient_in(0, 1) == B * 3
-    assert p.coefficient_in(0, 0) == ONE
-    assert p.coefficient_in(1, 1) == A * A + A * 3
-
-
 def test_param_poly_content_and_primitive():
     p = A * 4 + B * 6
     assert p.content() == Fraction(2)
@@ -104,6 +110,20 @@ def test_param_poly_exact_div():
     assert (A * 6).exact_div(ParamPoly.constant(AB, 3)) == A * 2
     with pytest.raises(ValueError):
         (A + ONE).exact_div(B)
+
+
+def test_param_poly_exact_div_with_rational_coefficients():
+    g = A * Fraction(1, 3) + B * Fraction(2, 7) + Fraction(1, 5)
+    cofactor = A * Fraction(-3, 4) + Fraction(5, 2)
+    assert (g * cofactor).exact_div(g) == cofactor
+    assert (g * cofactor).exact_div(cofactor) == g
+    assert g.exact_div(ParamPoly.constant(AB, Fraction(2, 3))) == g * Fraction(3, 2)
+    assert (A * B * Fraction(1, 2)).exact_div(B * -3) == A * Fraction(-1, 6)
+    assert poly([]).exact_div(g) == poly([])
+    with pytest.raises(ValueError, match="^not exactly divisible$"):
+        (g * cofactor + Fraction(1, 9)).exact_div(g)
+    with pytest.raises(ValueError, match="^not exactly divisible$"):
+        (A * Fraction(1, 2)).exact_div(A * B * Fraction(2, 3))
 
 
 def test_param_poly_gcd_is_primitive_with_positive_lead():
@@ -192,10 +212,17 @@ def same_up_to_a_unit(p, q):
     return p.mul_ground(q.leading_coefficient() / p.leading_coefficient()) == q
 
 
+def integer_part(p):
+    """The primitive integer dict of p, the form ``intgcd`` works on."""
+    return integer_primitive(p.terms)[1]
+
+
 @pytest.mark.parametrize("name", sorted(HAND_MADE_GCDS))
 def test_heuristic_gcd_of_hand_made_inputs(name):
     g, cp, cq = HAND_MADE_GCDS[name]
-    assert same_up_to_a_unit(coefficients._heuristic_gcd(g * cp, g * cq), g)
+    h, _, _ = intgcd._heuristic_gcd(integer_part(g * cp), integer_part(g * cq))
+    # every planted gcd has a positive leading coefficient
+    assert h == integer_part(g)
 
 
 @pytest.mark.parametrize("route", ["heuristic", "remainder sequence"])
@@ -209,8 +236,19 @@ def test_param_poly_gcd_of_hand_made_inputs(name, route, request):
     assert same_up_to_a_unit(gcd, g)
 
 
-def integer_terms(p):
-    return {e: int(c) for e, c in p.terms}
+@pytest.mark.parametrize("route", ["heuristic", "remainder sequence"])
+def test_gcd_returns_primitive_gcd_and_cofactors(route, request):
+    if route == "remainder sequence":
+        request.getfixturevalue("remainder_sequence")
+    pairs = [(g * cp, g * cq) for g, cp, cq in HAND_MADE_GCDS.values()]
+    pairs += [oracle_gcd_pair(seed) for seed in range(30)]
+    for p, q in pairs:
+        f, g = integer_part(p), integer_part(q)
+        h, cf, cg = intgcd.gcd(f, g)
+        assert math.gcd(*h.values()) == 1 and h[max(h)] > 0
+        h = ParamPoly(p.params, h.items())
+        for whole, cofactor in ((f, cf), (g, cg)):
+            assert h * ParamPoly(p.params, cofactor.items()) == ParamPoly(p.params, whole.items())
 
 
 def test_heuristic_gcd_needs_coprime_cofactors(monkeypatch):
@@ -224,9 +262,13 @@ def test_heuristic_gcd_needs_coprime_cofactors(monkeypatch):
     ]
     for found, expected in cases:
         h, cf, cg = found
-        answer = tuple(map(integer_terms, found))
-        monkeypatch.setattr(coefficients, "common_divisor", lambda *inputs, answer=answer: answer)
-        assert coefficients._heuristic_gcd(h * cf, h * cg) == expected
+        answer = tuple(map(integer_part, found))
+        monkeypatch.setattr(intgcd, "common_divisor", lambda *inputs, answer=answer: answer)
+        proven = intgcd._heuristic_gcd(integer_part(h * cf), integer_part(h * cg))
+        if expected is None:
+            assert proven is None
+        else:
+            assert proven[0] == integer_part(expected)
 
 
 def test_param_poly_lcm():

@@ -6,7 +6,6 @@ agreement with ``sympy.gcd`` pins the gcd that keeps Q(a, b, c) canonical.
 sympy is a test-only dependency; without it this module is skipped.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +15,9 @@ sympy = pytest.importorskip("sympy")
 from gbgeom import ParamPoly, param_poly_gcd, parse_expression, reduced_basis  # noqa: E402
 
 from support import (  # noqa: E402
+    ORACLE_GCD_PARAMS,
     katsura,
-    random_nonzero_param_poly,
+    oracle_gcd_pair,
     stress_system,
     systems,
 )
@@ -54,15 +54,7 @@ def test_stress_system_matches_sympy_f5b():
     assert list(ours) == sympy_reduced_basis(ctx, polys, method="f5b")
 
 
-ABC = ("a", "b", "c")
-
-
-def binomial_or_longer(rng):
-    """A seeded element of Q[a, b, c] with two or three terms; monomials have a shortcut."""
-    while True:
-        p = random_nonzero_param_poly(rng, ABC, max_terms=3, span=5)
-        if len(p.terms) > 1:
-            return p
+ABC = ORACLE_GCD_PARAMS
 
 
 def to_sympy(p):
@@ -72,11 +64,7 @@ def to_sympy(p):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_param_poly_gcd_matches_sympy(seed):
-    rng = random.Random(seed)
-    p, q = binomial_or_longer(rng), binomial_or_longer(rng)
-    if seed % 3:  # plant a common factor
-        g = binomial_or_longer(rng)
-        p, q = p * g, q * g
+    p, q = oracle_gcd_pair(seed)
     ours = param_poly_gcd(p, q)
     gcd = to_sympy(p).gcd(to_sympy(q))
     theirs = ParamPoly(ABC, [(e, Fraction(c.numerator, c.denominator)) for e, c in gcd.terms()])
