@@ -3,9 +3,11 @@
 Coefficients live in the field Q(p1, ..., pk) of rational functions in a fixed
 tuple of parameter names.  ``ParamPoly`` is a multivariate polynomial over Q in
 those parameters; ``ParamFraction`` is a quotient of two of them kept in a
-canonical form, so equality is structural and hashing is cheap.  The gcds
-that keep it canonical come from ``intgcd.gcd`` with their cofactors, so
-cancelling a gcd divides nothing again.  When there
+canonical form, so equality is structural and hashing is cheap.  Fraction
+arithmetic works on the primitive integer parts of numerators and
+denominators (``intgcd.integer_primitive``): it cancels with the cofactors
+that ``intgcd.gcd`` returns with each gcd, multiplies over Z, and
+``_canonical`` builds each result once.  When there
 are no parameters (k = 0) the field is Q itself and its elements are plain
 ``Fraction`` values: ``VarContext.coefficient`` picks the domain from the
 parameter tuple, and code shared by both domains combines coefficients only
@@ -23,7 +25,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .intgcd import _exact_quotient, gcd, integer_primitive, is_constant
+from .intgcd import _exact_quotient, _mul_add, _quo_int, gcd, integer_primitive, is_constant
 
 Exponents = tuple[int, ...]
 
@@ -255,25 +257,17 @@ class ParamPoly:
         return _power(self, n, ParamPoly.constant(self.params, 1))
 
     def mul_ground(self, c: Fraction) -> "ParamPoly":
+        c = _rational(c)
         if not c:
             return ParamPoly(self.params)
         return ParamPoly._make(self.params, _scale(self.terms, c))
 
     def quo_ground(self, c: Fraction) -> "ParamPoly":
-        return self.mul_ground(Fraction(1) / Fraction(c))
+        return self.mul_ground(1 / _rational(c))
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at the point; only parameters that occur need a value."""
         return _evaluate(self.params, self.terms, values)
-
-    def content(self) -> Fraction:
-        return fraction_gcd(c for _, c in self.terms)
-
-    def primitive(self) -> "ParamPoly":
-        c = self.content()
-        if not c or c == 1:
-            return self
-        return self.quo_ground(c)
 
     def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
         """Quotient self / divisor, raising ValueError unless it divides exactly."""
@@ -304,33 +298,24 @@ def _from_integers(params: tuple[str, ...], f: dict, scale: Fraction) -> ParamPo
     return ParamPoly._make(params, _lex_sorted({e: scale * c for e, c in f.items()}))
 
 
-def _gcd_parts(p: ParamPoly, q: ParamPoly) -> tuple[ParamPoly, ParamPoly, ParamPoly]:
-    """(h, p / h, q / h) for the canonical gcd h, from one call of ``intgcd.gcd``."""
-    p._check(q)
-    p_scale, f = integer_primitive(p.terms)
-    q_scale, g = integer_primitive(q.terms)
-    h, f, g = gcd(f, g)
-    if is_constant(h):
-        return ParamPoly.constant(p.params, 1), p, q
-    parts = ((h, Fraction(1)), (f, p_scale), (g, q_scale))
-    return tuple(_from_integers(p.params, part, scale) for part, scale in parts)
-
-
 def param_poly_gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly:
     """Gcd in Q[params], normalized primitive with positive leading rational.
 
     The gcd of two zero polynomials is zero; a nonzero constant is a unit, so
     any pair involving one has gcd 1.
     """
-    return _gcd_parts(p, q)[0]
+    p._check(q)
+    h, _, _ = gcd(integer_primitive(p.terms)[1], integer_primitive(q.terms)[1])
+    return _from_integers(p.params, h, Fraction(1))
 
 
 def param_poly_lcm(p: ParamPoly, q: ParamPoly) -> ParamPoly:
     p._check(q)
     if not p or not q:
         return ParamPoly(p.params)
-    lcm = (p * _gcd_parts(p, q)[2]).primitive()
-    return -lcm if lcm.leading_coefficient() < 0 else lcm
+    f, g = integer_primitive(p.terms)[1], integer_primitive(q.terms)[1]
+    lcm = _mul_add({}, f, gcd(f, g)[2])
+    return _from_integers(p.params, lcm, Fraction(1 if lcm[max(lcm)] > 0 else -1))
 
 
 class ParamFraction:
@@ -394,11 +379,6 @@ class ParamFraction:
         """True when the display form starts with a minus sign."""
         return bool(self.num) and self.num.leading_coefficient() < 0
 
-    def as_poly(self) -> ParamPoly:
-        if not self.den.is_one():
-            raise ValueError("fraction has a nontrivial denominator")
-        return self.num
-
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         den = self.den.evaluate(values)
         if not den:
@@ -432,12 +412,21 @@ class ParamFraction:
             return NotImplemented
         if self.den == other.den:
             return normalize_fraction(self.num + other.num, self.den)
-        g, d1, d2 = _gcd_parts(self.den, other.den)
-        num = self.num * d2 + other.num * d1
-        # coprime denominators leave the sum in lowest terms
-        if g.is_one():
-            return _scaled(num, self.den * other.den)
-        return normalize_fraction(num, d1 * other.den)
+        self.num._check(other.num)
+        # n1/d1 + n2/d2 = (n1*e2 + n2*e1) / (e1*d2) for the cofactors e1, e2 of gcd(d1, d2)
+        (s1, n1), (s2, n2) = integer_primitive(self.num.terms), integer_primitive(other.num.terms)
+        d2 = integer_primitive(other.den.terms)[1]
+        h, e1, e2 = gcd(integer_primitive(self.den.terms)[1], d2)
+        scale = fraction_gcd((s1, s2))
+        num = _mul_add({}, {e: c * (s1 / scale).numerator for e, c in n1.items()}, e2)
+        num = _mul_add(num, {e: c * (s2 / scale).numerator for e, c in n2.items()}, e1)
+        den = _mul_add({}, e1, d2)
+        if not is_constant(h):
+            # the sum can share only factors of h with the lcm of the denominators
+            content = math.gcd(*num.values())
+            scale *= content
+            _, num, den = gcd(_quo_int(num, content), den)
+        return _canonical(self.params, scale, num, den)
 
     def __radd__(self, other) -> "ParamFraction":
         return self.__add__(other)
@@ -455,16 +444,16 @@ class ParamFraction:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ParamFraction.zero(self.params)
-            return ParamFraction._raw(self.num.mul_ground(Fraction(other)), self.den)
+            return ParamFraction._raw(self.num.mul_ground(other), self.den)
         if not isinstance(other, ParamFraction):
             return NotImplemented
-        if not self.num or not other.num:
-            return ParamFraction.zero(self.params)
         if self.den.is_one() and other.den.is_one():
             return ParamFraction._raw(self.num * other.num, self.den)
-        _, n1, d2 = _gcd_parts(self.num, other.den)
-        _, n2, d1 = _gcd_parts(other.num, self.den)
-        return _scaled(n1 * n2, d1 * d2)
+        self.num._check(other.num)
+        (s1, n1), (s2, n2) = integer_primitive(self.num.terms), integer_primitive(other.num.terms)
+        _, n1, d2 = gcd(n1, integer_primitive(other.den.terms)[1])
+        _, n2, d1 = gcd(n2, integer_primitive(self.den.terms)[1])
+        return _canonical(self.params, s1 * s2, _mul_add({}, n1, n2), _mul_add({}, d1, d2))
 
     def __rmul__(self, other) -> "ParamFraction":
         return self.__mul__(other)
@@ -472,7 +461,8 @@ class ParamFraction:
     def invert(self) -> "ParamFraction":
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        return _scaled(self.den, self.num)
+        scale, num = integer_primitive(self.num.terms)
+        return _canonical(self.params, 1 / scale, integer_primitive(self.den.terms)[1], num)
 
     def __truediv__(self, other) -> "ParamFraction":
         other = self._coerce(other)
@@ -509,16 +499,13 @@ class ParamFraction:
         return f"ParamFraction({str(self)!r}, params={self.params!r})"
 
 
-def _scaled(num: ParamPoly, den: ParamPoly) -> ParamFraction:
-    """Canonicalize a fraction already known to be in lowest terms."""
-    if not num:
-        return ParamFraction.zero(num.params)
-    c = den.content()
-    if den.leading_coefficient() < 0:
-        c = -c
-    if c != 1:
-        den = den.quo_ground(c)
-        num = num.quo_ground(c)
+def _canonical(params: tuple[str, ...], scale: Fraction, f: dict, g: dict) -> ParamFraction:
+    """scale * f / g in canonical form, for coprime integer f and primitive integer g."""
+    if not f:
+        return ParamFraction.zero(params)
+    if g[max(g)] < 0:
+        scale, g = -scale, _quo_int(g, -1)
+    num, den = _from_integers(params, f, scale), _from_integers(params, g, Fraction(1))
     return ParamFraction._raw(num, den)
 
 
@@ -531,8 +518,10 @@ def normalize_fraction(num: ParamPoly, den: ParamPoly) -> ParamFraction:
         return ParamFraction.zero(num.params)
     if den.is_one():
         return ParamFraction._raw(num, den)
-    _, num, den = _gcd_parts(num, den)
-    return _scaled(num, den)
+    num_scale, f = integer_primitive(num.terms)
+    den_scale, g = integer_primitive(den.terms)
+    _, f, g = gcd(f, g)
+    return _canonical(num.params, num_scale / den_scale, f, g)
 
 
 # not typing.Union: its cache would keep every imported copy of this class alive

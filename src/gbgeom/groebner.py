@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from operator import le, sub
 from typing import Iterable
 
-from .coefficients import Coefficient, _scale
+from .coefficients import _collect, _lex_sorted, _scale
 from .division import normal_form
 from .polynomials import Polynomial, VarContext, _terms
 
@@ -87,11 +87,6 @@ def _divides(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return all(map(le, u, v))
 
 
-def _mul_term(p: Polynomial, coeff: Coefficient, mono: tuple[int, ...]) -> Polynomial:
-    """p scaled by a single term; term order is preserved."""
-    return Polynomial._make(p.context, _terms(_scale(p._pairs(), coeff, mono)))
-
-
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial: both leading terms scaled to the lcm and subtracted."""
     f._check(g)
@@ -99,9 +94,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("s-polynomial of a zero polynomial")
     lf, lg = f.terms[0], g.terms[0]
     lcm = tuple(map(max, lf.monomial, lg.monomial))
-    left = _mul_term(f, 1 / lf.coefficient, tuple(map(sub, lcm, lf.monomial)))
-    right = _mul_term(g, 1 / lg.coefficient, tuple(map(sub, lcm, lg.monomial)))
-    return left - right
+    left = _scale(f._pairs(), 1 / lf.coefficient, tuple(map(sub, lcm, lf.monomial)))
+    right = _scale(g._pairs(), -1 / lg.coefficient, tuple(map(sub, lcm, lg.monomial)))
+    return Polynomial._make(f.context, _terms(_lex_sorted(_collect(left + right, {}))))
 
 
 def _nonzero(generators: Iterable[Polynomial]) -> list[Polynomial]:

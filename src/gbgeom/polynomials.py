@@ -308,7 +308,7 @@ def clear_denominators(p: Polynomial) -> Polynomial:
     lcm = ParamPoly.constant(params, 1)
     for coeff in coeffs:
         lcm = param_poly_lcm(lcm, coeff.den)
-    nums = [(coeff * ParamFraction(lcm)).as_poly() for coeff in coeffs]
+    nums = [coeff.num * lcm.exact_div(coeff.den) for coeff in coeffs]
     rational = fraction_gcd(c for num in nums for _, c in num.terms)
     common = ParamPoly(params)
     for num in nums:

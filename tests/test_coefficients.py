@@ -95,12 +95,21 @@ def test_param_poly_evaluate():
     assert p.evaluate({"a": Fraction(2), "b": Fraction(1, 2)}) == Fraction(9, 2)
 
 
+def test_param_poly_ground_operations_refuse_floats():
+    for ground in (A.mul_ground, A.quo_ground):
+        with pytest.raises(TypeError, match="^not an exact coefficient: 0.1$"):
+            ground(0.1)
+    assert A.mul_ground(3) == A * 3 and A.quo_ground(2) == A * Fraction(1, 2)
+
+
 def test_param_poly_content_and_primitive():
     p = A * 4 + B * 6
-    assert p.content() == Fraction(2)
-    assert p.primitive() == A * 2 + B * 3
+    assert fraction_gcd(c for _, c in p.terms) == Fraction(2)
+    assert integer_primitive(p.terms) == (Fraction(2), {(1, 0): 2, (0, 1): 3})
     q = A * Fraction(1, 2) + B * Fraction(1, 3)
-    assert q.mul_ground(Fraction(1) / q.content()).content() == Fraction(1)
+    scale, ints = integer_primitive(q.terms)
+    assert scale == Fraction(1, 6) and ints == {(1, 0): 3, (0, 1): 2}
+    assert fraction_gcd(c for _, c in q.quo_ground(scale).terms) == Fraction(1)
 
 
 def test_param_poly_exact_div():
@@ -232,7 +241,7 @@ def test_param_poly_gcd_of_hand_made_inputs(name, route, request):
         request.getfixturevalue("remainder_sequence")
     g, cp, cq = HAND_MADE_GCDS[name]
     gcd = param_poly_gcd(g * cp, g * cq)
-    assert gcd.content() == 1 and gcd.leading_coefficient() > 0
+    assert integer_primitive(gcd.terms)[0] == 1 and gcd.leading_coefficient() > 0
     assert same_up_to_a_unit(gcd, g)
 
 

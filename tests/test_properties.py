@@ -23,6 +23,7 @@ from gbgeom import (
     parse_expression,
     substitute,
 )
+from gbgeom.intgcd import integer_primitive
 
 from support import (
     divides,
@@ -30,6 +31,7 @@ from support import (
     monomial_product,
     random_exponents,
     random_fraction,
+    random_nonzero_fraction,
     random_nonzero_param_poly,
     random_nonzero_polynomial,
     random_param_poly,
@@ -63,18 +65,59 @@ def test_param_fraction_field_axioms():
             assert f * f.invert() == ParamFraction.one(AB)
 
 
+def assert_canonical(f):
+    """Numerator and denominator coprime, the denominator integer-primitive
+    with a positive leading coefficient, and zero as 0/1."""
+    if not f:
+        assert f.den.is_one()
+        return
+    assert param_poly_gcd(f.num, f.den).is_one()
+    assert all(c.denominator == 1 for _, c in f.den.terms)
+    assert integer_primitive(f.den.terms)[0] == 1
+    assert f.den.leading_coefficient() > 0
+
+
 def test_param_fraction_canonical_form():
-    # invariants: numerator and denominator coprime, denominator
-    # integer-primitive with a positive leading rational
     rng = random.Random(103)
     for _ in range(300):
-        f = random_param_fraction(rng)
-        if f == ParamFraction.zero(AB):
-            assert f.den.is_one()
-            continue
-        assert param_poly_gcd(f.num, f.den).is_one()
-        assert f.den.content() == 1
-        assert f.den.leading_coefficient() > 0
+        assert_canonical(random_param_fraction(rng))
+
+
+def random_factored_poly(rng, factors):
+    """A rational times up to two of the factors, so that the operands of
+    one operation often have factors in common."""
+    p = ParamPoly.constant(factors[0].params, random_nonzero_fraction(rng, 5))
+    for factor in rng.sample(factors, rng.randint(0, 2)):
+        p = p * factor
+    return p
+
+
+def test_param_fraction_arithmetic_is_canonical():
+    # every result is canonical and equals the textbook formula, built by the constructor
+    rng = random.Random(163)
+    for params, cases in ((AB, 200), (("a", "b", "c"), 40)):
+        factors = [
+            random_nonzero_param_poly(rng, params, max_terms=3, max_degree=1, span=4)
+            for _ in range(5)
+        ]
+        for _ in range(cases):
+            f, g = (
+                ParamFraction(*(random_factored_poly(rng, factors) for _ in range(2)))
+                for _ in range(2)
+            )
+            (n1, d1), (n2, d2) = (f.num, f.den), (g.num, g.den)
+            results = [
+                (f + g, ParamFraction(n1 * d2 + n2 * d1, d1 * d2)),
+                (f - g, ParamFraction(n1 * d2 - n2 * d1, d1 * d2)),
+                (f * g, ParamFraction(n1 * n2, d1 * d2)),
+                (f / g, ParamFraction(n1 * d2, d1 * n2)),
+                (f.invert(), ParamFraction(d1, n1)),
+                # the denominators share g's, and the sum cancels down to f
+                ((f - g) + g, f),
+            ]
+            for result, textbook in results:
+                assert_canonical(result)
+                assert result == textbook
 
 
 def test_param_gcd_divides_and_product_identity():
@@ -87,7 +130,9 @@ def test_param_gcd_divides_and_product_identity():
         assert q.exact_div(g) * g == q
         product = p * q
         sign = 1 if product.leading_coefficient() > 0 else -1
-        assert product.primitive() == g * param_poly_lcm(p, q) * Fraction(sign)
+        assert product.quo_ground(integer_primitive(product.terms)[0]) == (
+            g * param_poly_lcm(p, q) * Fraction(sign)
+        )
 
 
 def test_param_gcd_keeps_a_planted_factor():
