@@ -8,16 +8,23 @@ leading monomial, and f = sum(quotient_i * divisor_i) + remainder holds
 exactly.
 
 The dividend is reduced in place: a ``{key: coefficient}`` dict holds its
-terms and a heap holds their keys, where a term's key is its exponent tuple
-negated, so the smallest key is the lex-largest term.  A term that cancels
-leaves its key in the heap; the stale entry is skipped when it comes up.
+terms and a heap holds their keys, where a term's key is its context's heap
+key (``VarContext._key``): the negated exponent tuple under lex, so the
+smallest key is the highest term.  A term that cancels leaves its key in the
+heap; the stale entry is skipped when it comes up.  Public contexts are lex;
+the same loop serves the graded reverse lex context of ``groebner``'s
+zero-dimensional route, and ``groebner.buchberger`` fills the work dict with
+an S-polynomial directly.
+
+Each divisor's reducer table is built once, on its first use as a divisor,
+and kept on the polynomial (``_table``).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import add, le, sub
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .polynomials import Polynomial, Term
@@ -38,41 +45,58 @@ class DivisionResult:
         return total
 
 
-def _negated(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-e for e in exponents)
+def _table(g: Polynomial) -> tuple:
+    """g's reducer table: (divisibility bound, inverse leading coefficient, tail).
+
+    The inverse is None when g is monic.  The tail holds (key(m) - key(lead),
+    coefficient) for each tail term m: a tail product's key is then the key
+    of the term being eliminated plus that offset, and the leading term is
+    never multiplied out, since it cancels exactly.
+    """
+    table = g._table
+    if table is None:
+        context = g.context
+        key = context._key
+        lead, lead_key = g.terms[0], key(g.terms[0].monomial)
+        tail = tuple((tuple(map(sub, key(m), lead_key)), c) for c, m in g.terms[1:])
+        inverse = None if lead.coefficient == 1 else 1 / lead.coefficient
+        table = g._table = (context._bound(lead.monomial), inverse, tail)
+    return table
 
 
-def _reduce(
-    f: Polynomial, divisors: tuple[Polynomial, ...], quotients: list[list[Term]] | None
-) -> Polynomial:
-    """Remainder of f on division by divisors; quotient terms go to quotients if given."""
-    # Per divisor: the negated leading monomial, the inverse leading coefficient
-    # and the tail terms as (lead - tail exponents, coefficient).  The leading
-    # term is never multiplied out: it cancels exactly.  With quotient exponents
-    # -key - lead, a tail product's key is key + (lead - tail).
-    reducers = []
+def _tables(f: Polynomial, divisors: Sequence[Polynomial]) -> list[tuple]:
+    """The divisors' reducer tables; raises on a zero divisor or another context."""
+    tables = []
     for g in divisors:
         f._check(g)
         if not g:
             raise ValueError("zero divisor")
-        lead = g.terms[0].monomial
-        tail = [(tuple(map(sub, lead, m)), c) for c, m in g.terms[1:]]
-        reducers.append((_negated(lead), 1 / g.terms[0].coefficient, tail))
-    work = {_negated(m): c for c, m in f.terms}
+        tables.append(_table(g))
+    return tables
+
+
+def _reduce(work: dict, tables: Sequence[tuple], covers, quotients=None) -> list[tuple]:
+    """Reduce the ``{key: coefficient}`` dict work in place; returns the remainder.
+
+    The remainder is a list of (key, coefficient), highest term first.  With
+    quotients, the (key, factor) of each elimination by divisor i goes to
+    quotients[i].  covers is the context's ``_covers``.
+    """
     heap = list(work)
     heapq.heapify(heap)
-    remainder: list[Term] = []
+    remainder = []
     while heap:
         key = heapq.heappop(heap)
         coeff = work.pop(key, None)
         if coeff is None:
             continue
-        for i, (bound, inverse, tail) in enumerate(reducers):
-            if all(map(le, key, bound)):  # the leading monomial divides this one
-                factor = coeff * inverse
+        for i, (bound, inverse, tail) in enumerate(tables):
+            if all(map(covers, key, bound)):  # the leading monomial divides this one
+                if inverse is not None:
+                    coeff = coeff * inverse
                 if quotients is not None:
-                    quotients[i].append(Term(factor, tuple(map(add, _negated(key), bound))))
-                factor = -factor
+                    quotients[i].append((key, coeff))
+                factor = -coeff
                 for offset, c in tail:
                     k = tuple(map(add, key, offset))
                     prev = work.get(k)
@@ -87,8 +111,19 @@ def _reduce(
                             del work[k]
                 break
         else:
-            remainder.append(Term(coeff, _negated(key)))
-    return Polynomial._make(f.context, tuple(remainder))
+            remainder.append((key, coeff))
+    return remainder
+
+
+def _polynomial(context, pairs) -> Polynomial:
+    """The polynomial of (key, coefficient) pairs listed highest term first."""
+    monomial = context._monomial
+    return Polynomial._make(context, tuple(Term(c, monomial(k)) for k, c in pairs))
+
+
+def _work(f: Polynomial) -> dict:
+    key = f.context._key
+    return {key(m): c for c, m in f.terms}
 
 
 def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
@@ -96,11 +131,18 @@ def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> Divisi
     divisors = tuple(divisors)
     if not divisors:
         raise ValueError("at least one divisor is required")
-    quotients: list[list[Term]] = [[] for _ in divisors]
-    remainder = _reduce(f, divisors, quotients)
+    context = f.context
+    quotients: list[list[tuple]] = [[] for _ in divisors]
+    remainder = _reduce(_work(f), _tables(f, divisors), context._covers, quotients)
+    # A quotient term's key is the eliminated term's key minus the divisor's lead key.
+    key = context._key
+    lead_keys = [key(g.terms[0].monomial) for g in divisors]
     return DivisionResult(
-        quotients=tuple(Polynomial._make(f.context, tuple(q)) for q in quotients),
-        remainder=remainder,
+        quotients=tuple(
+            _polynomial(context, ((tuple(map(sub, k, lead)), c) for k, c in q))
+            for q, lead in zip(quotients, lead_keys)
+        ),
+        remainder=_polynomial(context, remainder),
         divisors=divisors,
     )
 
@@ -110,4 +152,5 @@ def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     elements = tuple(basis)
     if not elements:
         return f
-    return _reduce(f, elements, None)
+    context = f.context
+    return _polynomial(context, _reduce(_work(f), _tables(f, elements), context._covers))

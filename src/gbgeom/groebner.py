@@ -19,13 +19,26 @@ Traverso, ISSAC 1991), ties broken by the pair indices, so runs are
 deterministic for a given generator list.  A generator's sugar is its total
 degree; a pair's is the larger of its elements' sugars, each raised by the
 degree that takes its leading monomial to the lcm; a remainder inherits the
-sugar of its pair.  Each S-polynomial is reduced against the whole basis in
-insertion order, and a nonzero remainder is made monic before it joins.
+sugar of its pair.  Each S-polynomial is written straight into the division
+work dict from the two elements' reducer tables (``division._table``),
+reduced against the whole basis in insertion order, and a nonzero remainder
+is made monic before it joins.
 
 ``reduce_basis`` produces THE reduced basis: monic elements, no monomial of
 any element divisible by another element's leading monomial, sorted descending
 by leading monomial.  It is unique for a given ideal, which is what makes
-reduced bases usable as canonical forms.  The order is always lex.
+reduced bases usable as canonical forms.  The output order is always lex.
+
+``reduced_basis`` takes a shorter route to the same basis when the ideal is
+zero-dimensional.  With at least as many generators as variables, it first
+computes the reduced basis under graded reverse lex (``polynomials._Grevlex``),
+which is far cheaper than lex.  If that basis has a pure power of every
+variable among its leading monomials, the ideal is zero-dimensional, and FGLM
+(Faugere, Gianni, Lazard and Mora, J. Symb. Comp. 16, 1993) converts it to
+the lex one by linear algebra.  Otherwise the grevlex basis, already
+complete under one order, replaces the generators of the lex pair loop.  By
+Krull's height theorem a proper ideal with fewer generators than variables
+is never zero-dimensional, so those go straight to lex.
 
 A monomial is an exponent tuple: an lcm is ``map(max, ...)``, two monomials
 are coprime when ``map(min, ...)`` is all zero, and ``_divides`` is
@@ -36,12 +49,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import le, sub
+from operator import add, le, sub
 from typing import Iterable
 
 from .coefficients import _collect, _lex_sorted, _scale
-from .division import normal_form
-from .polynomials import Polynomial, VarContext, _terms
+from .division import _polynomial, _reduce, _table, normal_form
+from .polynomials import Polynomial, VarContext, _Grevlex, _terms
 
 
 @dataclass
@@ -63,7 +76,14 @@ class PairStats:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis together with its reduction status and run statistics."""
+    """A Groebner basis together with its reduction status and run statistics.
+
+    ``stats`` are the counts of the last pair loop that completed the basis.
+    When ``reduced_basis`` converted a zero-dimensional ideal by FGLM, which
+    forms no pairs, that loop ran under graded reverse lex; when the ideal
+    was not zero-dimensional, it is the lex loop that the grevlex basis
+    seeded.
+    """
 
     elements: tuple[Polynomial, ...]
     reduced: bool = False
@@ -96,7 +116,29 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lcm = tuple(map(max, lf.monomial, lg.monomial))
     left = _scale(f._pairs(), 1 / lf.coefficient, tuple(map(sub, lcm, lf.monomial)))
     right = _scale(g._pairs(), -1 / lg.coefficient, tuple(map(sub, lcm, lg.monomial)))
-    return Polynomial._make(f.context, _terms(_lex_sorted(_collect(left + right, {}))))
+    return Polynomial._make(f.context, _terms(f.context._sorted(_collect(left + right, {}))))
+
+
+def _s_remainder(context: VarContext, tables: list[tuple], i: int, j: int, lcm) -> list[tuple]:
+    """Remainder of S(basis[i], basis[j]) modulo the basis, as division's (key, coefficient) list.
+
+    Both leading terms cancel, so only the tails are written into the work
+    dict: a tail term of offset o lands at key(lcm) + o.
+    """
+    lcm_key = context._key(lcm)
+    _, inverse, tail = tables[i]
+    work = {
+        tuple(map(add, lcm_key, offset)): c if inverse is None else c * inverse
+        for offset, c in tail
+    }
+    _, inverse, tail = tables[j]
+    factor = None if inverse is None else -inverse
+    shifted = (
+        (tuple(map(add, lcm_key, offset)), -c if factor is None else c * factor)
+        for offset, c in tail
+    )
+    _collect(shifted, work)
+    return _reduce(work, tables, context._covers)
 
 
 def _nonzero(generators: Iterable[Polynomial]) -> list[Polynomial]:
@@ -118,6 +160,7 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     generators = _nonzero(generators)
     stats = PairStats()
     basis: list[Polynomial] = []
+    tables: list[tuple] = []
     leads: list[tuple[int, ...]] = []
     sugars: list[int] = []
     active: list[int] = []
@@ -129,6 +172,7 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
         k = len(basis)
         lead = h.terms[0].monomial
         basis.append(h)
+        tables.append(_table(h))
         leads.append(lead)
         sugars.append(sugar)
         new = [(tuple(map(max, leads[i], lead)), i) for i in active]
@@ -165,12 +209,14 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
         insert(g, g.total_degree())
     while queue:
         sugar, i, j = heapq.heappop(queue)
-        if live.pop((i, j), None) is None:
+        lcm = live.pop((i, j), None)
+        if lcm is None:
             continue
         stats.reduced += 1
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        context = basis[i].context
+        remainder = _s_remainder(context, tables, i, j, lcm)
         if remainder:
-            insert(remainder.monic(), sugar)
+            insert(_polynomial(context, remainder).monic(), sugar)
         else:
             stats.zero += 1
     stats.peak_basis = len(basis)
@@ -178,19 +224,20 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
 
 
 def _lead_key(p: Polynomial) -> tuple[int, ...]:
-    return p.terms[0].monomial
+    """The heap key of p's leading monomial: the smallest key is the highest lead."""
+    return p.context._key(p.terms[0].monomial)
 
 
 def minimalize(basis: GroebnerBasis) -> GroebnerBasis:
     """Drop elements whose leading monomial another element's divides."""
-    ranked = sorted(basis.elements, key=_lead_key)
+    ranked = sorted(basis.elements, key=_lead_key, reverse=True)
     kept: list[Polynomial] = []
     for g in ranked:
         lm = g.terms[0].monomial
         if any(_divides(h.terms[0].monomial, lm) for h in kept):
             continue
         kept.append(g)
-    kept.sort(key=_lead_key, reverse=True)
+    kept.sort(key=_lead_key)
     return GroebnerBasis(tuple(kept), reduced=False, stats=basis.stats)
 
 
@@ -211,18 +258,115 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(tuple(elements), reduced=True, stats=basis.stats)
 
 
+def _in_context(polys: Iterable[Polynomial], context: VarContext) -> list[Polynomial]:
+    """The polynomials with their terms sorted again in a context of another term order."""
+    return [
+        Polynomial._make(context, _terms(context._sorted({m: c for c, m in g.terms})))
+        for g in polys
+    ]
+
+
+def _zero_dimensional(basis: GroebnerBasis) -> bool:
+    """True when the leading monomials hold a pure power of every variable, or 1."""
+    powers = set()
+    for g in basis:
+        support = [i for i, e in enumerate(g.terms[0].monomial) if e]
+        if not support:
+            return True
+        if len(support) == 1:
+            powers.add(support[0])
+    return len(powers) == len(basis.context.variables)
+
+
+def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
+    """The reduced lex basis in context of a zero-dimensional ideal from a reduced basis of it.
+
+    Monomials are taken in increasing lex order, each one a variable times a
+    standard monomial found before it, so its normal form is that standard
+    monomial's normal form shifted by the variable and reduced once more.
+    Normal forms live in division's key space.  Each one is eliminated
+    against the rows kept so far, recording the combination of monomials it
+    came from.  If it vanishes, that combination is a monic element of the
+    reduced lex basis whose leading monomial is the current one, and no
+    multiple of it is taken later; otherwise it joins the rows and the
+    monomial is standard.  The walk ends because the quotient ring has finite
+    dimension.
+    """
+    order = basis.context
+    tables = [_table(g) for g in basis]
+    covers, key = order._covers, order._key
+    n = len(context.variables)
+    steps = [key(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    one = context.coefficient(1)
+    normal: dict[tuple[int, ...], dict] = {}  # standard monomial -> its normal form
+    rows: list[tuple[tuple, dict, dict]] = []  # (pivot, row with pivot 1, its combination)
+    leads: list[tuple[int, ...]] = []
+    elements: list[Polynomial] = []
+    queue = [((0,) * n, None, 0)]  # (monomial, the standard monomial it extends, variable)
+    while queue:
+        monomial, parent, i = heapq.heappop(queue)
+        if monomial in normal or any(_divides(lead, monomial) for lead in leads):
+            continue
+        if parent is None:
+            work = {key(monomial): one}
+        else:
+            work = {tuple(map(add, k, steps[i])): c for k, c in normal[parent].items()}
+        form = dict(_reduce(work, tables, covers))
+        vector, combination = dict(form), {monomial: one}
+        for pivot, row, combo in rows:
+            c = vector.get(pivot)
+            if c is not None:
+                _collect(((k, -c * v) for k, v in row.items()), vector)
+                _collect(((k, -c * v) for k, v in combo.items()), combination)
+        if vector:
+            pivot, c = next(iter(vector.items()))
+            inverse = 1 / c
+            rows.append((
+                pivot,
+                {k: v * inverse for k, v in vector.items()},
+                {k: v * inverse for k, v in combination.items()},
+            ))
+            normal[monomial] = form
+            for v in range(n):
+                step = monomial[:v] + (monomial[v] + 1,) + monomial[v + 1:]
+                heapq.heappush(queue, (step, monomial, v))
+        else:
+            leads.append(monomial)
+            elements.append(Polynomial._make(context, _terms(_lex_sorted(combination))))
+    elements.reverse()
+    return GroebnerBasis(tuple(elements), reduced=True, stats=basis.stats)
+
+
 def reduced_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:
-    """Buchberger, minimalize and reduce in one step."""
+    """The reduced lex basis of the ideal the generators span.
+
+    Buchberger, minimalize and reduce.  With at least as many generators as
+    variables, the reduced graded reverse lex basis comes first: FGLM
+    converts it when the ideal is zero-dimensional, and otherwise it seeds
+    the lex pair loop in place of the generators (see the module docstring).
+    Either way the basis is the same.
+    """
+    generators = _nonzero(generators)
+    if generators and len(generators) >= len(generators[0].context.variables):
+        context = generators[0].context
+        grevlex = reduce_basis(
+            buchberger(_in_context(generators, _Grevlex(context.variables, context.parameters)))
+        )
+        if _zero_dimensional(grevlex):
+            return _fglm(grevlex, context)
+        generators = _in_context(grevlex, context)
     return reduce_basis(buchberger(generators))
 
 
 def is_groebner(generators: Iterable[Polynomial]) -> bool:
     """Buchberger criterion: every S-polynomial has normal form zero; one context."""
     polys = _nonzero(generators)
+    tables = [_table(g) for g in polys]
+    leads = [g.terms[0].monomial for g in polys]
     for j in range(len(polys)):
         for i in range(j):
-            if not any(map(min, polys[i].terms[0].monomial, polys[j].terms[0].monomial)):
+            if not any(map(min, leads[i], leads[j])):
                 continue
-            if normal_form(s_polynomial(polys[i], polys[j]), polys):
+            if _s_remainder(polys[i].context, tables, i, j, tuple(map(max, leads[i], leads[j]))):
                 return False
     return True

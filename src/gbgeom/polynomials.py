@@ -2,13 +2,16 @@
 
 A ``VarContext`` fixes the tuple of variables (highest-precedence first) and
 the tuple of parameter names appearing in coefficients.  ``Polynomial`` stores
-its terms sorted descending under the lexicographic order, which makes leading
-parts O(1) and keeps every printed form deterministic.  A monomial is its
-exponent tuple, the form the sparse core in ``coefficients`` works on, and lex
-is the only order: it is the order of those tuples.  ``Polynomial``,
-``from_terms`` and ``coefficient_of`` take exponents from outside and check
-that each is a non-negative integer of the right count; every other monomial
-is made from checked ones.
+its terms sorted descending under its context's term order, which makes
+leading parts O(1) and keeps every printed form deterministic.  A monomial is
+its exponent tuple, the form the sparse core in ``coefficients`` works on.
+Every context the public API builds orders terms by lex, the order of those
+tuples.  The term order belongs to the context: ``_Grevlex`` is the same
+variables under graded reverse lex, a different context that only
+``groebner`` builds for its zero-dimensional route, so ``_check`` refuses to
+mix the two.  ``Polynomial``, ``from_terms`` and ``coefficient_of`` take
+exponents from outside and check that each is a non-negative integer of the
+right count; every other monomial is made from checked ones.
 
 ``render`` prints a polynomial in one of two deterministic text forms that
 parse back to it, so regression artifacts can be pinned as text: ``monic``
@@ -18,8 +21,10 @@ away and normalizes the integer content instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge, le, neg
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .coefficients import (
@@ -102,6 +107,53 @@ class VarContext:
     def one(self) -> "Polynomial":
         return self.constant(1)
 
+    # The term order.  ``_key`` maps a monomial to its heap key, a linear map
+    # whose smallest key is the highest term, so a product's key is the sum
+    # of its factors' keys; ``_monomial`` inverts it, and ``_sorted`` lists a
+    # collected dict highest term first.  A monomial u divides the monomial
+    # with key k when ``all(map(_covers, k, _bound(u)))``.  Lex: the negated
+    # exponent tuple.
+
+    _sorted = staticmethod(_lex_sorted)
+    _covers = staticmethod(le)
+
+    @staticmethod
+    def _key(exponents: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(neg, exponents))
+
+    _monomial = _key
+    _bound = _key
+
+
+@dataclass(frozen=True)
+class _Grevlex(VarContext):
+    """The same variables under graded reverse lex; unequal to the lex context.
+
+    Higher total degree ranks higher; within a degree, the smaller exponent
+    of the last variable where two monomials differ.  The heap key is
+    ``(-degree, e_n, ..., e_1)``; a divisor's bound starts with minus
+    infinity, so only the exponents are compared.
+    """
+
+    _covers = staticmethod(ge)
+
+    @staticmethod
+    def _key(exponents: tuple[int, ...]) -> tuple[int, ...]:
+        return (-sum(exponents), *reversed(exponents))
+
+    @staticmethod
+    def _monomial(key: tuple[int, ...]) -> tuple[int, ...]:
+        return key[:0:-1]
+
+    @staticmethod
+    def _bound(exponents: tuple[int, ...]) -> tuple:
+        return (-math.inf, *reversed(exponents))
+
+    @classmethod
+    def _sorted(cls, acc: dict) -> tuple:
+        key = cls._key
+        return tuple(sorted(acc.items(), key=lambda pair: key(pair[0])))
+
 
 class Term(NamedTuple):
     coefficient: Coefficient
@@ -114,26 +166,29 @@ def _terms(pairs) -> tuple[Term, ...]:
 
 
 class Polynomial:
-    """Polynomial with terms sorted descending under lex; immutable.
+    """Polynomial with terms sorted descending under its context's order; immutable.
 
     The constructor takes ``Term``s of any coefficient ``VarContext.coefficient``
     coerces and checks each exponent tuple.  Arithmetic accepts another
     ``Polynomial`` or such a coefficient.  Equality is structural and includes
-    the context.
+    the context.  ``_table`` caches division's reducer table for this
+    polynomial as a divisor (``division._table``); it is built on first use.
     """
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "terms", "_table")
 
     def __init__(self, context: VarContext, terms: Iterable[Term] = ()):
         self.context = context
         pairs = ((_exponents(m, len(context.variables)), context.coefficient(c)) for c, m in terms)
-        self.terms = _terms(_lex_sorted(_collect(pairs, {})))
+        self.terms = _terms(context._sorted(_collect(pairs, {})))
+        self._table = None
 
     @classmethod
     def _make(cls, context: VarContext, terms: tuple[Term, ...]) -> "Polynomial":
         out = cls.__new__(cls)
         out.context = context
         out.terms = terms
+        out._table = None
         return out
 
     def _pairs(self) -> list[tuple[tuple[int, ...], Coefficient]]:
@@ -182,7 +237,7 @@ class Polynomial:
             other = self.context.constant(other)
         self._check(other)
         acc = _collect(other._pairs(), dict(self._pairs()))
-        return Polynomial._make(self.context, _terms(_lex_sorted(acc)))
+        return Polynomial._make(self.context, _terms(self.context._sorted(acc)))
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
@@ -200,7 +255,7 @@ class Polynomial:
             return self.scale(self.context.coefficient(other))
         self._check(other)
         acc = _term_product(self._pairs(), other._pairs())
-        return Polynomial._make(self.context, _terms(_lex_sorted(acc)))
+        return Polynomial._make(self.context, _terms(self.context._sorted(acc)))
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)

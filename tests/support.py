@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from gbgeom import ParamPoly, Polynomial, VarContext, read_system
+from gbgeom import ParamPoly, Polynomial, VarContext, parse_expression, read_system
 from gbgeom.division import normal_form
 from gbgeom.groebner import GroebnerBasis, s_polynomial
 
@@ -142,6 +142,12 @@ def stress_system():
     """The parametric stress system over Q(a, b, c): an ellipsoid, a cylinder and x*y*z = c."""
     ctx = VarContext(XYZ, ("a", "b", "c"))
     return ctx, ["x^2/a^2 + y^2/b^2 + z^2/c^2 - 1", "x^2 + y^2 - a*x", "x*y*z - c"]
+
+
+def parsed(case):
+    """The generators of a (context, texts) case such as ``katsura(n)``, parsed."""
+    ctx, polys = case
+    return [parse_expression(text, ctx) for text in polys]
 
 
 def quadric_pair(seed, params):

@@ -23,6 +23,7 @@ from support import (
     cyclic,
     divides,
     katsura,
+    parsed,
     random_nonzero_polynomial,
     reference_buchberger,
     stress_system,
@@ -142,11 +143,6 @@ def test_coprime_criterion_does_not_change_result():
     with_pruning = reduced_basis(gens)
     plain = reduce_basis(reference_buchberger(gens))
     assert with_pruning.elements == plain.elements
-
-
-def parsed(case):
-    ctx, polys = case
-    return [parse_expression(text, ctx) for text in polys]
 
 
 def test_pair_statistics_on_katsura_3():

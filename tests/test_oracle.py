@@ -25,18 +25,23 @@ from support import (  # noqa: E402
 SYSTEMS = {**systems(), "katsura-3": katsura(3)}
 
 
-def sympy_reduced_basis(ctx, polys, method="buchberger"):
-    """sympy's reduced lex basis, parsed back into gbgeom and made monic."""
+def sympy_reduced_basis(ctx, polys, method="buchberger", fglm=False):
+    """sympy's reduced lex basis, parsed back into gbgeom and made monic.
+
+    With fglm, sympy computes a grevlex basis and converts it to lex by FGLM.
+    """
     symbols = {name: sympy.Symbol(name) for name in ctx.variables + ctx.parameters}
     exprs = [sympy.sympify(text.replace("^", "**"), locals=symbols) for text in polys]
     domain = f"QQ({','.join(ctx.parameters)})" if ctx.parameters else "QQ"
     basis = sympy.groebner(
         exprs,
         *(symbols[name] for name in ctx.variables),
-        order="lex",
+        order="grevlex" if fglm else "lex",
         domain=domain,
         method=method,
     )
+    if fglm:
+        basis = basis.fglm("lex")
     theirs = [parse_expression(str(g).replace("**", "^"), ctx).monic() for g in basis.exprs]
     return sorted(theirs, key=lambda g: g.terms[0].monomial, reverse=True)
 
@@ -52,6 +57,12 @@ def test_stress_system_matches_sympy_f5b():
     ctx, polys = stress_system()
     ours = reduced_basis([parse_expression(text, ctx) for text in polys]).elements
     assert list(ours) == sympy_reduced_basis(ctx, polys, method="f5b")
+
+
+def test_katsura_4_matches_sympy_fglm():
+    ctx, polys = katsura(4)
+    ours = reduced_basis([parse_expression(text, ctx) for text in polys]).elements
+    assert list(ours) == sympy_reduced_basis(ctx, polys, fglm=True)
 
 
 ABC = ORACLE_GCD_PARAMS
