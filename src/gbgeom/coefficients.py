@@ -2,12 +2,13 @@
 
 Coefficients live in the field Q(p1, ..., pk) of rational functions in a fixed
 tuple of parameter names.  ``ParamPoly`` is a multivariate polynomial over Q in
-those parameters; ``ParamFraction`` is a quotient of two of them kept in a
-canonical form, so equality is structural and hashing is cheap.  Fraction
-arithmetic works on the primitive integer parts of numerators and
-denominators (``intgcd.integer_primitive``): it cancels with the cofactors
-that ``intgcd.gcd`` returns with each gcd, multiplies over Z, and
-``_canonical`` builds each result once.  When there
+those parameters.  ``ParamFraction`` is a quotient kept as a rational scale
+times two coprime integer polynomials (``{exponents: int}`` dicts), each
+primitive with a positive leading coefficient: the form the gcd in
+``intgcd`` takes, so fraction arithmetic cancels with the cofactors that
+``intgcd.gcd`` returns, multiplies over Z and never converts its own parts.
+The form is canonical, so equality is structural.  ``_cleared`` clears the
+denominators of a polynomial's coefficients on the same parts.  When there
 are no parameters (k = 0) the field is Q itself and its elements are plain
 ``Fraction`` values: ``VarContext.coefficient`` picks the domain from the
 parameter tuple, and code shared by both domains combines coefficients only
@@ -111,11 +112,9 @@ def _power(base, n: int, one):
     return result
 
 
-def _scale(pairs, coeff, shift: Exponents | None = None) -> tuple:
-    """Every term times coeff (and the monomial of shift); the order is kept."""
-    if shift is None:
-        return tuple((e, c * coeff) for e, c in pairs)
-    return tuple((tuple(map(add, e, shift)), c * coeff) for e, c in pairs)
+def _scale(pairs, coeff) -> tuple:
+    """Every term times coeff; the order is kept."""
+    return tuple((e, c * coeff) for e, c in pairs)
 
 
 def _evaluate(names: tuple[str, ...], pairs, values: Mapping[str, Fraction]) -> Fraction:
@@ -319,71 +318,73 @@ def param_poly_lcm(p: ParamPoly, q: ParamPoly) -> ParamPoly:
 
 
 class ParamFraction:
-    """Quotient of two ``ParamPoly`` values in canonical form.
+    """Element of Q(params) in the canonical form ``scale * f / g``.
 
-    Canonical means the gcd of numerator and denominator is 1 and the
-    denominator is integer-primitive with positive leading rational; zero is
-    0/1.  Construction normalizes, so equality and hashing are structural.
+    ``scale`` is rational; f and g are coprime ``{exponents: int}`` dicts,
+    each primitive with a positive lex-leading coefficient; zero is scale 0
+    and an empty f over g = 1.  Arithmetic works on these parts, the inputs
+    of ``intgcd.gcd``; ``num`` (scale * f) and ``den`` (g) are views.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("params", "scale", "f", "g")
 
     def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
-        if den is None:
-            den = ParamPoly.constant(num.params, 1)
-        normalized = normalize_fraction(num, den)
-        self.num = normalized.num
-        self.den = normalized.den
+        n = normalize_fraction(num, ParamPoly.constant(num.params, 1) if den is None else den)
+        self.params, self.scale, self.f, self.g = n.params, n.scale, n.f, n.g
 
     @classmethod
-    def _raw(cls, num: ParamPoly, den: ParamPoly) -> "ParamFraction":
+    def _make(cls, params: tuple[str, ...], scale: Fraction, f: dict, g: dict) -> "ParamFraction":
         out = cls.__new__(cls)
-        out.num = num
-        out.den = den
+        out.params, out.scale, out.f, out.g = params, scale, f, g
         return out
 
     @classmethod
     def from_fraction(cls, params: tuple[str, ...], value) -> "ParamFraction":
-        return cls._raw(ParamPoly.constant(params, value), ParamPoly.constant(params, 1))
+        value = _rational(value)
+        return cls._make(tuple(params), value, _unit(params) if value else {}, _unit(params))
 
     @classmethod
     def parameter(cls, params: tuple[str, ...], name: str) -> "ParamFraction":
-        return cls._raw(ParamPoly.parameter(params, name), ParamPoly.constant(params, 1))
+        exps = ParamPoly.parameter(params, name).leading_exponents()
+        return cls._make(tuple(params), Fraction(1), {exps: 1}, _unit(params))
 
     @classmethod
     def zero(cls, params: tuple[str, ...]) -> "ParamFraction":
-        return cls._raw(ParamPoly(params), ParamPoly.constant(params, 1))
+        return cls.from_fraction(params, 0)
 
     @classmethod
     def one(cls, params: tuple[str, ...]) -> "ParamFraction":
-        one = ParamPoly.constant(params, 1)
-        return cls._raw(one, one)
+        return cls.from_fraction(params, 1)
 
     @property
-    def params(self) -> tuple[str, ...]:
-        return self.num.params
+    def num(self) -> ParamPoly:
+        return _from_integers(self.params, self.f, self.scale)
+
+    @property
+    def den(self) -> ParamPoly:
+        return _from_integers(self.params, self.g, Fraction(1))
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.f)
 
     def is_constant(self) -> bool:
-        return self.den.is_one() and self.num.is_constant()
+        return not self.f or (is_constant(self.f) and is_constant(self.g))
 
     def constant_value(self) -> Fraction:
-        if not self.den.is_one():
+        if not self.is_constant():
             raise ValueError("not a constant")
-        return self.num.constant_value()
+        return self.scale
 
     @property
     def negative_lead(self) -> bool:
         """True when the display form starts with a minus sign."""
-        return bool(self.num) and self.num.leading_coefficient() < 0
+        return self.scale < 0
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        den = self.den.evaluate(values)
+        den = _evaluate(self.params, self.g.items(), values)
         if not den:
             raise ZeroDivisionError("denominator vanishes at the given point")
-        return self.num.evaluate(values) / den
+        return self.scale * _evaluate(self.params, self.f.items(), values) / den
 
     def _coerce(self, other) -> "ParamFraction | None":
         if isinstance(other, ParamFraction):
@@ -392,41 +393,55 @@ class ParamFraction:
             return ParamFraction.from_fraction(self.params, other)
         return None
 
+    def _check(self, other: "ParamFraction") -> None:
+        if self.params != other.params:
+            raise ValueError("mismatched parameter tuples")
+
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.params, self.scale, self.f, self.g) == (
+            other.params, other.scale, other.f, other.g
+        )
 
     def __hash__(self) -> int:
-        if self.den.is_one() and self.num.is_constant():
-            return hash(self.num.constant_value())
-        return hash((self.num, self.den))
+        if self.is_constant():
+            return hash(self.scale)
+        parts = frozenset(self.f.items()), frozenset(self.g.items())
+        return hash((self.params, self.scale, parts))
 
     def __neg__(self) -> "ParamFraction":
-        return ParamFraction._raw(-self.num, self.den)
+        return ParamFraction._make(self.params, -self.scale, self.f, self.g)
 
     def __add__(self, other) -> "ParamFraction":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return normalize_fraction(self.num + other.num, self.den)
-        self.num._check(other.num)
-        # n1/d1 + n2/d2 = (n1*e2 + n2*e1) / (e1*d2) for the cofactors e1, e2 of gcd(d1, d2)
-        (s1, n1), (s2, n2) = integer_primitive(self.num.terms), integer_primitive(other.num.terms)
-        d2 = integer_primitive(other.den.terms)[1]
-        h, e1, e2 = gcd(integer_primitive(self.den.terms)[1], d2)
-        scale = fraction_gcd((s1, s2))
-        num = _mul_add({}, {e: c * (s1 / scale).numerator for e, c in n1.items()}, e2)
-        num = _mul_add(num, {e: c * (s2 / scale).numerator for e, c in n2.items()}, e1)
-        den = _mul_add({}, e1, d2)
+        self._check(other)
+        if not other.f:
+            return self
+        if not self.f:
+            return other
+        # s1*f1/g1 + s2*f2/g2 = scale * (n1*e2 + n2*e1) / (e1*g2) for the cofactors
+        # e1, e2 of h = gcd(g1, g2) and the integers n1, n2 of s1, s2 over scale
+        if self.g == other.g:
+            h = self.g
+            e1 = e2 = _unit(self.params)
+        else:
+            h, e1, e2 = gcd(self.g, other.g)
+        scale = fraction_gcd((self.scale, other.scale))
+        n1, n2 = (self.scale / scale).numerator, (other.scale / scale).numerator
+        num = _mul_add({}, {e: c * n1 for e, c in self.f.items()}, e2)
+        num = _mul_add(num, {e: c * n2 for e, c in other.f.items()}, e1)
+        if not num:
+            return ParamFraction.zero(self.params)
+        content = math.gcd(*num.values())
+        num, den = _quo_int(num, content), _mul_add({}, e1, other.g)
         if not is_constant(h):
             # the sum can share only factors of h with the lcm of the denominators
-            content = math.gcd(*num.values())
-            scale *= content
-            _, num, den = gcd(_quo_int(num, content), den)
-        return _canonical(self.params, scale, num, den)
+            _, num, den = gcd(num, den)
+        return _canonical(self.params, scale * content, num, den)
 
     def __radd__(self, other) -> "ParamFraction":
         return self.__add__(other)
@@ -444,25 +459,25 @@ class ParamFraction:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ParamFraction.zero(self.params)
-            return ParamFraction._raw(self.num.mul_ground(other), self.den)
+            return ParamFraction._make(self.params, self.scale * other, self.f, self.g)
         if not isinstance(other, ParamFraction):
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return ParamFraction._raw(self.num * other.num, self.den)
-        self.num._check(other.num)
-        (s1, n1), (s2, n2) = integer_primitive(self.num.terms), integer_primitive(other.num.terms)
-        _, n1, d2 = gcd(n1, integer_primitive(other.den.terms)[1])
-        _, n2, d1 = gcd(n2, integer_primitive(self.den.terms)[1])
-        return _canonical(self.params, s1 * s2, _mul_add({}, n1, n2), _mul_add({}, d1, d2))
+        self._check(other)
+        if not (self.f and other.f):
+            return ParamFraction.zero(self.params)
+        # cofactors of positive primitive polynomials are positive and primitive
+        _, f1, g2 = gcd(self.f, other.g)
+        _, f2, g1 = gcd(other.f, self.g)
+        f, g = _mul_add({}, f1, f2), _mul_add({}, g1, g2)
+        return ParamFraction._make(self.params, self.scale * other.scale, f, g)
 
     def __rmul__(self, other) -> "ParamFraction":
         return self.__mul__(other)
 
     def invert(self) -> "ParamFraction":
-        if not self.num:
+        if not self.f:
             raise ZeroDivisionError("inverse of zero")
-        scale, num = integer_primitive(self.num.terms)
-        return _canonical(self.params, 1 / scale, integer_primitive(self.den.terms)[1], num)
+        return ParamFraction._make(self.params, 1 / self.scale, self.g, self.f)
 
     def __truediv__(self, other) -> "ParamFraction":
         other = self._coerce(other)
@@ -480,15 +495,13 @@ class ParamFraction:
     def __pow__(self, n: int) -> "ParamFraction":
         if n < 0:
             return self.invert() ** (-n)
-        if n == 0:
-            return ParamFraction.one(self.params)
-        return ParamFraction._raw(self.num ** n, self.den ** n)
+        return _power(self, n, ParamFraction.one(self.params))
 
     def __str__(self) -> str:
-        if self.den.is_one():
+        if is_constant(self.g):
             return str(self.num)
         num_s = str(self.num)
-        if len(self.num.terms) > 1:
+        if len(self.f) > 1:
             num_s = f"({num_s})"
         den_s = str(self.den)
         if any(ch in den_s for ch in "*+- "):
@@ -499,14 +512,18 @@ class ParamFraction:
         return f"ParamFraction({str(self)!r}, params={self.params!r})"
 
 
+def _unit(params: tuple[str, ...]) -> dict:
+    """The integer polynomial 1."""
+    return {(0,) * len(params): 1}
+
+
 def _canonical(params: tuple[str, ...], scale: Fraction, f: dict, g: dict) -> ParamFraction:
-    """scale * f / g in canonical form, for coprime integer f and primitive integer g."""
-    if not f:
-        return ParamFraction.zero(params)
+    """scale * f / g in canonical form, for coprime primitive integer f and g."""
+    if f[max(f)] < 0:
+        scale, f = -scale, _quo_int(f, -1)
     if g[max(g)] < 0:
         scale, g = -scale, _quo_int(g, -1)
-    num, den = _from_integers(params, f, scale), _from_integers(params, g, Fraction(1))
-    return ParamFraction._raw(num, den)
+    return ParamFraction._make(params, scale, f, g)
 
 
 def normalize_fraction(num: ParamPoly, den: ParamPoly) -> ParamFraction:
@@ -516,12 +533,33 @@ def normalize_fraction(num: ParamPoly, den: ParamPoly) -> ParamFraction:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return ParamFraction.zero(num.params)
-    if den.is_one():
-        return ParamFraction._raw(num, den)
     num_scale, f = integer_primitive(num.terms)
     den_scale, g = integer_primitive(den.terms)
     _, f, g = gcd(f, g)
     return _canonical(num.params, num_scale / den_scale, f, g)
+
+
+def _cleared(coeffs: list[ParamFraction]) -> list[ParamFraction]:
+    """Nonzero coefficients times the one factor that clears all of them.
+
+    The results are integer polynomials with no common factor, and the
+    first one's leading coefficient is positive.
+    """
+    params = coeffs[0].params
+    lcm = _unit(params)
+    for c in coeffs:
+        lcm = _mul_add({}, lcm, gcd(lcm, c.g)[2])
+    parts = [_mul_add({}, c.f, _exact_quotient(lcm, c.g)) for c in coeffs]
+    common = parts[0]
+    for part in parts[1:]:
+        if is_constant(common):
+            break
+        common = gcd(common, part)[0]
+    if not is_constant(common):
+        parts = [_exact_quotient(part, common) for part in parts]
+    factor = fraction_gcd(c.scale for c in coeffs) * (1 if coeffs[0].scale > 0 else -1)
+    unit = _unit(params)
+    return [ParamFraction._make(params, c.scale / factor, p, unit) for c, p in zip(coeffs, parts)]
 
 
 # not typing.Union: its cache would keep every imported copy of this class alive

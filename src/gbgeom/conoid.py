@@ -48,8 +48,11 @@ class ConoidParams:
 
     a and b are the egg-curve semi-axes, d the offset of the moving circle
     and h the height of the line directrix.  Numeric values must satisfy
-    a > b > 0, 0 < d <= a - b and h > 0; symbolic runs only assume every
-    parameter is nonzero.
+    a > b > 0, 0 < d <= a - b and h > 0.  The symbolic verdict holds where
+    b, d, h, a - d, a + d and a^2 + d^2, the parameter polynomials
+    ``final_verdict`` divides by, are nonzero, which the numeric hypotheses
+    imply (a - d >= b > 0); B and C, which it also divides by, are plane
+    coefficients that its own branches split on (C != 0; C = 0, B != 0).
     """
 
     a: Fraction | str = "a"

@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import add, le, sub
+from operator import add, le
 from typing import Iterable
 
-from .coefficients import _collect, _lex_sorted, _scale
+from .coefficients import _collect, _lex_sorted
 from .division import _polynomial, _reduce, _table, normal_form
 from .polynomials import Polynomial, VarContext, _Grevlex, _terms
 
@@ -112,33 +112,35 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check(g)
     if not f or not g:
         raise ValueError("s-polynomial of a zero polynomial")
-    lf, lg = f.terms[0], g.terms[0]
-    lcm = tuple(map(max, lf.monomial, lg.monomial))
-    left = _scale(f._pairs(), 1 / lf.coefficient, tuple(map(sub, lcm, lf.monomial)))
-    right = _scale(g._pairs(), -1 / lg.coefficient, tuple(map(sub, lcm, lg.monomial)))
-    return Polynomial._make(f.context, _terms(f.context._sorted(_collect(left + right, {}))))
+    lcm = tuple(map(max, f.terms[0].monomial, g.terms[0].monomial))
+    work = _s_work(f.context, _table(f), _table(g), lcm)
+    return _polynomial(f.context, sorted(work.items()))
 
 
-def _s_remainder(context: VarContext, tables: list[tuple], i: int, j: int, lcm) -> list[tuple]:
-    """Remainder of S(basis[i], basis[j]) modulo the basis, as division's (key, coefficient) list.
+def _s_work(context: VarContext, left: tuple, right: tuple, lcm) -> dict:
+    """S-polynomial of the elements with reducer tables left and right, as division's work dict.
 
-    Both leading terms cancel, so only the tails are written into the work
-    dict: a tail term of offset o lands at key(lcm) + o.
+    Both leading terms cancel, so only the tails are written: a tail term of
+    offset o lands at key(lcm) + o.
     """
     lcm_key = context._key(lcm)
-    _, inverse, tail = tables[i]
+    _, inverse, tail = left
     work = {
         tuple(map(add, lcm_key, offset)): c if inverse is None else c * inverse
         for offset, c in tail
     }
-    _, inverse, tail = tables[j]
+    _, inverse, tail = right
     factor = None if inverse is None else -inverse
     shifted = (
         (tuple(map(add, lcm_key, offset)), -c if factor is None else c * factor)
         for offset, c in tail
     )
-    _collect(shifted, work)
-    return _reduce(work, tables, context._covers)
+    return _collect(shifted, work)
+
+
+def _s_remainder(context: VarContext, tables: list[tuple], i: int, j: int, lcm) -> list[tuple]:
+    """Remainder of S(basis[i], basis[j]) modulo the basis, as division's (key, coefficient) list."""
+    return _reduce(_s_work(context, tables[i], tables[j], lcm), tables, context._covers)
 
 
 def _nonzero(generators: Iterable[Polynomial]) -> list[Polynomial]:
@@ -278,6 +280,30 @@ def _zero_dimensional(basis: GroebnerBasis) -> bool:
     return len(powers) == len(basis.context.variables)
 
 
+def _eliminate(rows: list[tuple], vector: dict, combination: dict) -> dict | None:
+    """Eliminate a sparse vector against the rows, changing it and its combination in place.
+
+    A row is (pivot, row with 1 at the pivot, its combination), zero at
+    earlier rows' pivots.  A vanishing vector returns its combination, a
+    relation; any other joins the rows, scaled to 1 at its first entry.
+    """
+    for pivot, row, combo in rows:
+        c = vector.get(pivot)
+        if c is not None:
+            _collect(((k, -c * v) for k, v in row.items()), vector)
+            _collect(((k, -c * v) for k, v in combo.items()), combination)
+    if not vector:
+        return combination
+    pivot, c = next(iter(vector.items()))
+    inverse = 1 / c
+    rows.append((
+        pivot,
+        {k: v * inverse for k, v in vector.items()},
+        {k: v * inverse for k, v in combination.items()},
+    ))
+    return None
+
+
 def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
     """The reduced lex basis in context of a zero-dimensional ideal from a reduced basis of it.
 
@@ -285,11 +311,11 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
     standard monomial found before it, so its normal form is that standard
     monomial's normal form shifted by the variable and reduced once more.
     Normal forms live in division's key space.  Each one is eliminated
-    against the rows kept so far, recording the combination of monomials it
-    came from.  If it vanishes, that combination is a monic element of the
-    reduced lex basis whose leading monomial is the current one, and no
-    multiple of it is taken later; otherwise it joins the rows and the
-    monomial is standard.  The walk ends because the quotient ring has finite
+    against the rows kept so far (``_eliminate``), recording the combination
+    of monomials it came from.  If it vanishes, that combination is a monic
+    element of the reduced lex basis whose leading monomial is the current
+    one, and no multiple of it is taken later; otherwise it joins the rows
+    and the monomial is standard.  The walk ends because the quotient ring has finite
     dimension.
     """
     order = basis.context
@@ -312,27 +338,15 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
         else:
             work = {tuple(map(add, k, steps[i])): c for k, c in normal[parent].items()}
         form = dict(_reduce(work, tables, covers))
-        vector, combination = dict(form), {monomial: one}
-        for pivot, row, combo in rows:
-            c = vector.get(pivot)
-            if c is not None:
-                _collect(((k, -c * v) for k, v in row.items()), vector)
-                _collect(((k, -c * v) for k, v in combo.items()), combination)
-        if vector:
-            pivot, c = next(iter(vector.items()))
-            inverse = 1 / c
-            rows.append((
-                pivot,
-                {k: v * inverse for k, v in vector.items()},
-                {k: v * inverse for k, v in combination.items()},
-            ))
+        relation = _eliminate(rows, dict(form), {monomial: one})
+        if relation is None:
             normal[monomial] = form
             for v in range(n):
                 step = monomial[:v] + (monomial[v] + 1,) + monomial[v + 1:]
                 heapq.heappush(queue, (step, monomial, v))
         else:
             leads.append(monomial)
-            elements.append(Polynomial._make(context, _terms(_lex_sorted(combination))))
+            elements.append(Polynomial._make(context, _terms(_lex_sorted(relation))))
     elements.reverse()
     return GroebnerBasis(tuple(elements), reduced=True, stats=basis.stats)
 

@@ -10,9 +10,10 @@ Three views of the same question, in increasing strength:
   failed scan is conclusive for that shape of plane.
 - ``detect_planes``: the complete answer.  A plane A*x + B*y + C*z + D = 0
   contains the variety exactly when the combination of normal forms
-  A*NF(x) + B*NF(y) + C*NF(z) + D*NF(1) vanishes, which is a finite linear
-  system over the coefficient field; its nullspace enumerates every such
-  plane, including the ones a basis scan misses.
+  A*NF(x) + B*NF(y) + C*NF(z) + D*NF(1) vanishes.  Eliminating the four
+  normal forms in turn, as FGLM does (``groebner._eliminate``), gives one
+  relation for each that depends on the ones before it; these span every
+  such plane, including the ones a basis scan misses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable
 
 from .coefficients import Coefficient
 from .division import normal_form
-from .groebner import GroebnerBasis, _divides, reduce_basis, reduced_basis
+from .groebner import GroebnerBasis, _divides, _eliminate, reduce_basis, reduced_basis
 from .polynomials import Polynomial, VarContext, coefficient_of
 
 
@@ -75,15 +76,11 @@ class PlaneFamily:
 
     def contains(self, plane) -> bool:
         """Span membership of a plane, given as 4 coefficients or a linear polynomial."""
-        target = _plane_vector(self.context, plane)
-        rows = [list(v) for v in self.planes]
-        reduced, pivots = _rref(rows)
-        vec = list(target)
-        for row, pivot in zip(reduced, pivots):
-            factor = vec[pivot]
-            if factor:
-                vec = [v - factor * r for v, r in zip(vec, row)]
-        return not any(vec)
+        rows: list[tuple] = []
+        # a vector that vanishes adds no row: the last one, the target, decides
+        for vector in (*self.planes, _plane_vector(self.context, plane)):
+            relation = _eliminate(rows, {i: c for i, c in enumerate(vector) if c}, {})
+        return relation is not None
 
 
 @dataclass(frozen=True)
@@ -135,25 +132,22 @@ def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
         raise ValueError("plane detection needs exactly three variables")
     if any(g.is_constant() for g in basis.elements):
         return PlaneDetection("empty-variety", None)
-    columns = [normal_form(context.variable(name), basis) for name in context.variables]
-    columns.append(normal_form(context.one(), basis))
-    monomials = sorted({t.monomial for col in columns for t in col.terms}, reverse=True)
-    zero = context.coefficient(0)
-    lookup = [{t.monomial: t.coefficient for t in col.terms} for col in columns]
-    rows = [[table.get(m, zero) for table in lookup] for m in monomials]
-    vectors = _nullspace(rows, 4, context)
-    if not vectors:
-        return PlaneDetection("none", None)
+    columns = [context.variable(name) for name in context.variables] + [context.one()]
+    zero, one = context.coefficient(0), context.coefficient(1)
+    rows: list[tuple] = []
     planes = []
-    for vec in vectors:
+    for i, column in enumerate(columns):
+        relation = _eliminate(rows, {m: c for c, m in normal_form(column, basis).terms}, {i: one})
+        if relation is None:
+            continue
+        vec = [relation.get(j, zero) for j in range(4)]
         lead = next((c for c in vec[:3] if c), None)
         if lead is None:
             # A = B = C = 0 forces D*1 in the ideal, caught as empty variety above
             raise ValueError("degenerate plane vector")
-        if lead != 1:
-            inv = 1 / lead
-            vec = [c * inv for c in vec]
-        planes.append(tuple(vec))
+        planes.append(tuple(c / lead for c in vec))
+    if not planes:
+        return PlaneDetection("none", None)
     return PlaneDetection("planes", PlaneFamily(context, tuple(planes)))
 
 
@@ -169,48 +163,3 @@ def _plane_vector(context: VarContext, plane) -> PlaneCoefficients:
         coeffs.append(coefficient_of(plane, (0,) * nvars))
         return tuple(coeffs)
     return tuple(context.coefficient(c) for c in plane)
-
-
-def _rref(rows: list[list[Coefficient]]) -> tuple[list[list[Coefficient]], list[int]]:
-    """Reduced row echelon form over the exact coefficient field."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for i, row in enumerate(rows):
-            if i != rank and row[col]:
-                factor = row[col]
-                rows[i] = [c - factor * p for c, p in zip(row, rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
-
-
-def _nullspace(
-    rows: list[list[Coefficient]], ncols: int, context: VarContext
-) -> list[list[Coefficient]]:
-    """Canonical basis of the solution space of rows * v = 0."""
-    reduced, pivots = _rref(rows)
-    zero = context.coefficient(0)
-    one = context.coefficient(1)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for row, pivot in zip(reduced, pivots):
-            if row[f]:
-                vec[pivot] = -row[f]
-        basis.append(vec)
-    return basis

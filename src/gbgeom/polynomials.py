@@ -31,6 +31,7 @@ from .coefficients import (
     Coefficient,
     ParamFraction,
     ParamPoly,
+    _cleared,
     _collect,
     _evaluate,
     _exponents,
@@ -41,9 +42,6 @@ from .coefficients import (
     _scale,
     _term_product,
     _term_str,
-    fraction_gcd,
-    param_poly_gcd,
-    param_poly_lcm,
 )
 
 CoefficientLike = Union["ParamFraction", "ParamPoly", Fraction, int, str]
@@ -358,26 +356,9 @@ def clear_denominators(p: Polynomial) -> Polynomial:
     """
     if not p.terms:
         return p
-    params = p.context.parameters
-    coeffs = [_lifted(coeff) for coeff, _ in p.terms]
-    lcm = ParamPoly.constant(params, 1)
-    for coeff in coeffs:
-        lcm = param_poly_lcm(lcm, coeff.den)
-    nums = [coeff.num * lcm.exact_div(coeff.den) for coeff in coeffs]
-    rational = fraction_gcd(c for num in nums for _, c in num.terms)
-    common = ParamPoly(params)
-    for num in nums:
-        common = param_poly_gcd(common, num)
-        if common.is_one():
-            break
-    nums = [num.quo_ground(rational) for num in nums]
-    if not common.is_one():
-        nums = [num.exact_div(common) for num in nums]
-    if nums[0].leading_coefficient() < 0:
-        nums = [-num for num in nums]
+    cleared = _cleared([_lifted(coeff) for coeff, _ in p.terms])
     terms = tuple(
-        Term(p.context.coefficient(num), mono)
-        for num, (_, mono) in zip(nums, p.terms)
+        Term(p.context.coefficient(coeff), mono) for coeff, (_, mono) in zip(cleared, p.terms)
     )
     return Polynomial._make(p.context, terms)
 

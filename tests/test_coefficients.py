@@ -306,10 +306,31 @@ def test_param_fraction_zero_and_division_guards():
     zero = ParamFraction.zero(AB)
     assert not zero
     assert zero.den == ONE
+    a = ParamFraction.parameter(AB, "a")
+    assert zero + zero == zero and a + zero == a and zero - a == -a
+    assert zero * a == zero and a * zero == zero and (zero + zero).scale == 0
     with pytest.raises(ZeroDivisionError):
         ParamFraction(A, poly([]))
     with pytest.raises(ZeroDivisionError):
         zero.invert()
+
+
+def test_param_fraction_parts():
+    # scale * f / g with f and g primitive integer polynomials, positive leading coefficients
+    f = ParamFraction(A * Fraction(-2, 3) + B * 4, A * 6 + B * 3)
+    assert f.scale == Fraction(-2, 9)
+    assert (f.f, f.g) == ({(1, 0): 1, (0, 1): -6}, {(1, 0): 2, (0, 1): 1})
+    assert f.num == A * Fraction(-2, 9) + B * Fraction(4, 3) and f.den == A * 2 + B
+    zero = ParamFraction.zero(AB)
+    assert (zero.scale, zero.f, zero.g) == (0, {}, {(0, 0): 1})
+
+
+def test_param_fraction_sum_moves_integer_content_and_sign_to_the_scale():
+    a = ParamFraction.parameter(AB, "a")
+    # 1/(a + 3) - 1/a = -3/(a^2 + 3a): the sum's numerator is -3
+    difference = (a + 3).invert() - a.invert()
+    assert difference == ParamFraction(ONE * -3, A * A + A * 3)
+    assert (difference.scale, difference.f) == (-3, {(0, 0): 1})
 
 
 def test_param_fraction_addition_over_common_denominator():

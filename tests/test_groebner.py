@@ -44,6 +44,8 @@ def test_s_polynomial_cancels_leading_terms():
     f = X * X * X - 2 * X * Y
     g = X * X * Y - 2 * Y * Y + X
     assert s_polynomial(f, g) == -(X * X)
+    # leading coefficients are divided out: y*(x^2 + y/2) - x*(x*y + 1/3)
+    assert s_polynomial(2 * X * X + Y, 3 * X * Y + 1) == Y * Y / 2 - X / 3
     with pytest.raises(ValueError):
         s_polynomial(X, CTX.zero())
 

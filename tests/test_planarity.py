@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gbgeom.groebner import GroebnerBasis, reduced_basis
-from gbgeom.planarity import detect_planes, lt_membership, scan_linear
+from gbgeom.planarity import PlaneFamily, detect_planes, lt_membership, scan_linear
 from gbgeom.polynomials import VarContext, clear_denominators
 
 PCTX = VarContext(("x", "y", "z"), ("a", "b"))
@@ -102,6 +102,9 @@ def test_detect_planes_two_dimensional_family():
     assert family.as_polynomials() == (x, y)
     assert family.contains(x - y)
     assert not family.contains(QCTX.variable("z"))
+    # a plane listed twice spans no more than itself
+    twice = PlaneFamily(QCTX, (family.planes[0], family.planes[0]))
+    assert twice.contains(x * 3) and not twice.contains(y)
 
 
 def test_detect_planes_none_for_space_curve():

@@ -131,6 +131,17 @@ def test_polynomial_powers():
         X ** -1
 
 
+def test_constant_value():
+    assert CTX.zero().constant_value() == CTX.coefficient(0)
+    assert CTX.constant("a").constant_value() == CTX.coefficient("a")
+    rational = VarContext(("x",))
+    assert rational.constant(Fraction(-3, 4)).constant_value() == Fraction(-3, 4)
+    assert rational.zero().constant_value() == rational.coefficient(0) == 0
+    for p in (X, X + 1, rational.variable("x")):
+        with pytest.raises(ValueError, match="^not a constant polynomial$"):
+            p.constant_value()
+
+
 def test_monic_divides_by_leading_coefficient():
     p = 2 * X * X + 4 * Y
     assert p.monic() == X * X + 2 * Y

@@ -67,10 +67,20 @@ def test_param_fraction_field_axioms():
 
 def assert_canonical(f):
     """Numerator and denominator coprime, the denominator integer-primitive
-    with a positive leading coefficient, and zero as 0/1."""
+    with a positive leading coefficient, and zero as 0/1.
+
+    The stored parts say the same: ``f.f`` and ``f.g`` are integer
+    polynomials, primitive with positive leading coefficients, and the
+    views are ``scale * f.f`` and ``f.g``.
+    """
+    assert f.num == ParamPoly(f.params, ((e, f.scale * c) for e, c in f.f.items()))
+    assert f.den == ParamPoly(f.params, f.g.items())
     if not f:
-        assert f.den.is_one()
+        assert f.den.is_one() and f.scale == 0 and f.f == {}
         return
+    for part in (f.f, f.g):
+        assert all(type(c) is int for c in part.values())
+        assert math.gcd(*part.values()) == 1 and part[max(part)] > 0
     assert param_poly_gcd(f.num, f.den).is_one()
     assert all(c.denominator == 1 for _, c in f.den.terms)
     assert integer_primitive(f.den.terms)[0] == 1
