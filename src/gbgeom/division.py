@@ -16,6 +16,19 @@ the same loop serves the graded reverse lex context of ``groebner``'s
 zero-dimensional route, and ``groebner.buchberger`` fills the work dict with
 an S-polynomial directly.
 
+Over Q the reduction is fraction-free (Becker and Weispfenning, *Groebner
+Bases*, 1993): the work dict holds the integers of d * f for the least common
+denominator d of f's coefficients (``_work``), and each divisor is used as
+its primitive integer multiple, with a positive integer lead l.  Before a
+term with coefficient c is eliminated, the work dict, the remainder so far
+and the quotients so far are multiplied by l // gcd(c, l), so the
+elimination is exact over Z; ``_reduce`` returns the product of those
+factors with the remainder.  Over Q(params) the work dict holds the field
+elements themselves, each divisor's tail is divided by its leading
+coefficient once, l is 1, and nothing is ever multiplied.  Either way the
+exact remainder is the returned one divided by d times the multiplier
+(``_divided``).
+
 Each divisor's reducer table is built once, on its first use as a divisor,
 and kept on the polynomial (``_table``).
 """
@@ -23,7 +36,9 @@ and kept on the polynomial (``_table``).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -46,21 +61,37 @@ class DivisionResult:
 
 
 def _table(g: Polynomial) -> tuple:
-    """g's reducer table: (divisibility bound, inverse leading coefficient, tail).
+    """g's reducer table: (divisibility bound, lead l, tail) of a multiple of g with lead l.
 
-    The inverse is None when g is monic.  The tail holds (key(m) - key(lead),
-    coefficient) for each tail term m: a tail product's key is then the key
-    of the term being eliminated plus that offset, and the leading term is
-    never multiplied out, since it cancels exactly.
+    Over Q the multiple is g's primitive integer multiple, whose lead l is a
+    positive integer; over Q(params) it is g divided by its leading
+    coefficient, and l is 1.  The tail holds (key(m) - key(lead), coefficient)
+    for each tail term m: a tail product's key is then the key of the term
+    being eliminated plus that offset, and the leading term is never
+    multiplied out, since it cancels exactly.
     """
     table = g._table
     if table is None:
         context = g.context
         key = context._key
-        lead, lead_key = g.terms[0], key(g.terms[0].monomial)
-        tail = tuple((tuple(map(sub, key(m), lead_key)), c) for c, m in g.terms[1:])
-        inverse = None if lead.coefficient == 1 else 1 / lead.coefficient
-        table = g._table = (context._bound(lead.monomial), inverse, tail)
+        lead_monomial = g.terms[0].monomial
+        lead_key = key(lead_monomial)
+        coefficients = [c for c, _ in g.terms]
+        if context.parameters:
+            lc, lead = coefficients.pop(0), 1
+            if lc != 1:
+                inverse = 1 / lc
+                coefficients = [c * inverse for c in coefficients]
+        else:
+            d = math.lcm(*(c.denominator for c in coefficients))
+            integers = [c.numerator * (d // c.denominator) for c in coefficients]
+            content = math.gcd(*integers) if integers[0] > 0 else -math.gcd(*integers)
+            lead, *coefficients = (c // content for c in integers)
+        tail = tuple(
+            (tuple(map(sub, key(m), lead_key)), c)
+            for c, (_, m) in zip(coefficients, g.terms[1:])
+        )
+        table = g._table = (context._bound(lead_monomial), lead, tail)
     return table
 
 
@@ -75,25 +106,38 @@ def _tables(f: Polynomial, divisors: Sequence[Polynomial]) -> list[tuple]:
     return tables
 
 
-def _reduce(work: dict, tables: Sequence[tuple], covers, quotients=None) -> list[tuple]:
-    """Reduce the ``{key: coefficient}`` dict work in place; returns the remainder.
+def _reduce(work: dict, tables: Sequence[tuple], covers, quotients=None) -> tuple[list[tuple], int]:
+    """Reduce the ``{key: coefficient}`` dict work, consuming it; returns (remainder, multiplier).
 
-    The remainder is a list of (key, coefficient), highest term first.  With
+    The remainder is a list of (key, coefficient), highest term first, of
+    multiplier times the work dict's value modulo the divisors.  With
     quotients, the (key, factor) of each elimination by divisor i goes to
-    quotients[i].  covers is the context's ``_covers``.
+    quotients[i], on the same scale: multiplier * work = sum of quotient_i
+    times divisor i's table multiple, plus the remainder.  covers is the
+    context's ``_covers``.
     """
     heap = list(work)
     heapq.heapify(heap)
     remainder = []
+    multiplier = 1
     while heap:
         key = heapq.heappop(heap)
         coeff = work.pop(key, None)
         if coeff is None:
             continue
-        for i, (bound, inverse, tail) in enumerate(tables):
+        for i, (bound, lead, tail) in enumerate(tables):
             if all(map(covers, key, bound)):  # the leading monomial divides this one
-                if inverse is not None:
-                    coeff = coeff * inverse
+                if lead != 1:
+                    common = math.gcd(coeff, lead)
+                    if common != lead:
+                        # scale everything so that lead divides this term's coefficient
+                        m = lead // common
+                        multiplier *= m
+                        work = {k: c * m for k, c in work.items()}
+                        remainder = [(k, c * m) for k, c in remainder]
+                        if quotients is not None:
+                            quotients[:] = [[(k, c * m) for k, c in q] for q in quotients]
+                    coeff //= common
                 if quotients is not None:
                     quotients[i].append((key, coeff))
                 factor = -coeff
@@ -112,7 +156,34 @@ def _reduce(work: dict, tables: Sequence[tuple], covers, quotients=None) -> list
                 break
         else:
             remainder.append((key, coeff))
-    return remainder
+    return remainder, multiplier
+
+
+def _work(context, items: Iterable[tuple]) -> tuple[dict, int]:
+    """(work, d): the work dict of d times the (key, coefficient) items, for an integer d.
+
+    Over Q d is the least common denominator of the coefficients, so the
+    work dict holds integers; over Q(params) d is 1.
+    """
+    if context.parameters:
+        return dict(items), 1
+    items = list(items)
+    d = math.lcm(*(c.denominator for _, c in items))
+    return {k: c.numerator * (d // c.denominator) for k, c in items}, d
+
+
+def _divided(context, pairs, d) -> Iterable[tuple]:
+    """The (key, coefficient / d) pairs: the exact values of a reduction's output.
+
+    Over Q the coefficients are integers and d is an integer or a rational;
+    over Q(params) both are field elements.
+    """
+    if not context.parameters:
+        return [(k, Fraction(c, d)) for k, c in pairs]
+    if d == 1:
+        return pairs
+    inverse = 1 / d
+    return [(k, c * inverse) for k, c in pairs]
 
 
 def _polynomial(context, pairs) -> Polynomial:
@@ -121,9 +192,15 @@ def _polynomial(context, pairs) -> Polynomial:
     return Polynomial._make(context, tuple(Term(c, monomial(k)) for k, c in pairs))
 
 
-def _work(f: Polynomial) -> dict:
+def _monic(context, pairs) -> Polynomial:
+    """The monic polynomial of nonzero (key, coefficient) pairs listed highest term first."""
+    return _polynomial(context, _divided(context, pairs, pairs[0][1]))
+
+
+def _keyed(f: Polynomial):
+    """f's terms as (key, coefficient)."""
     key = f.context._key
-    return {key(m): c for c, m in f.terms}
+    return ((key(m), c) for c, m in f.terms)
 
 
 def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
@@ -132,17 +209,24 @@ def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> Divisi
     if not divisors:
         raise ValueError("at least one divisor is required")
     context = f.context
+    tables = _tables(f, divisors)
+    work, d = _work(context, _keyed(f))
     quotients: list[list[tuple]] = [[] for _ in divisors]
-    remainder = _reduce(_work(f), _tables(f, divisors), context._covers, quotients)
-    # A quotient term's key is the eliminated term's key minus the divisor's lead key.
+    remainder, multiplier = _reduce(work, tables, context._covers, quotients)
+    d *= multiplier
+    # Divisor g entered as l / lc(g) times g, so its quotient is the recorded one
+    # times l / lc(g) / d.  A quotient term's key is the eliminated term's key
+    # minus g's lead key.
     key = context._key
-    lead_keys = [key(g.terms[0].monomial) for g in divisors]
+    exact = []
+    for q, g, (_, lead, _) in zip(quotients, divisors, tables):
+        lead_key = key(g.terms[0].monomial)
+        shifted = ((tuple(map(sub, k, lead_key)), c) for k, c in q)
+        scale = g.terms[0].coefficient * Fraction(d, lead)
+        exact.append(_polynomial(context, _divided(context, shifted, scale)))
     return DivisionResult(
-        quotients=tuple(
-            _polynomial(context, ((tuple(map(sub, k, lead)), c) for k, c in q))
-            for q, lead in zip(quotients, lead_keys)
-        ),
-        remainder=_polynomial(context, remainder),
+        quotients=tuple(exact),
+        remainder=_polynomial(context, _divided(context, remainder, d)),
         divisors=divisors,
     )
 
@@ -153,4 +237,7 @@ def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     if not elements:
         return f
     context = f.context
-    return _polynomial(context, _reduce(_work(f), _tables(f, elements), context._covers))
+    tables = _tables(f, elements)
+    work, d = _work(context, _keyed(f))
+    remainder, multiplier = _reduce(work, tables, context._covers)
+    return _polynomial(context, _divided(context, remainder, d * multiplier))

@@ -22,7 +22,11 @@ degree that takes its leading monomial to the lcm; a remainder inherits the
 sugar of its pair.  Each S-polynomial is written straight into the division
 work dict from the two elements' reducer tables (``division._table``),
 reduced against the whole basis in insertion order, and a nonzero remainder
-is made monic before it joins.
+is made monic before it joins.  Over Q the tables hold primitive integer
+multiples with integer leads l and l', so the work dict holds the integer
+S-polynomial of those multiples, scaled by l' // gcd(l, l') and
+l // gcd(l, l'); the remainder is a multiple of the true one, which is all
+the pair loop needs, since it is made monic straight from its integers.
 
 ``reduce_basis`` produces THE reduced basis: monic elements, no monomial of
 any element divisible by another element's leading monomial, sorted descending
@@ -35,10 +39,13 @@ computes the reduced basis under graded reverse lex (``polynomials._Grevlex``),
 which is far cheaper than lex.  If that basis has a pure power of every
 variable among its leading monomials, the ideal is zero-dimensional, and FGLM
 (Faugere, Gianni, Lazard and Mora, J. Symb. Comp. 16, 1993) converts it to
-the lex one by linear algebra.  Otherwise the grevlex basis, already
-complete under one order, replaces the generators of the lex pair loop.  By
-Krull's height theorem a proper ideal with fewer generators than variables
-is never zero-dimensional, so those go straight to lex.
+the lex one by linear algebra.  That needs exact normal forms, so over Q
+each remainder is divided by the multiplier the fraction-free reduction
+returns and by the denominator cleared from its input.  Otherwise the
+grevlex basis, already complete under one order, replaces the generators of
+the lex pair loop.  By Krull's height theorem a proper ideal with fewer
+generators than variables is never zero-dimensional, so those go straight
+to lex.
 
 A monomial is an exponent tuple: an lcm is ``map(max, ...)``, two monomials
 are coprime when ``map(min, ...)`` is all zero, and ``_divides`` is
@@ -48,12 +55,14 @@ are coprime when ``map(min, ...)`` is all zero, and ``_divides`` is
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from operator import add, le
 from typing import Iterable
 
 from .coefficients import _collect, _lex_sorted
-from .division import _polynomial, _reduce, _table, normal_form
+from .division import _divided, _keyed, _monic, _polynomial, _reduce, _table, _work
+from .division import normal_form  # noqa: F401 (re-exported as groebner.normal_form)
 from .polynomials import Polynomial, VarContext, _Grevlex, _terms
 
 
@@ -112,35 +121,44 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check(g)
     if not f or not g:
         raise ValueError("s-polynomial of a zero polynomial")
+    context = f.context
     lcm = tuple(map(max, f.terms[0].monomial, g.terms[0].monomial))
-    work = _s_work(f.context, _table(f), _table(g), lcm)
-    return _polynomial(f.context, sorted(work.items()))
+    left, right = _table(f), _table(g)
+    # the work dict is lcm(l, l') times the S-polynomial of f and g
+    work = sorted(_s_work(context, left, right, lcm).items())
+    return _polynomial(context, _divided(context, work, math.lcm(left[1], right[1])))
 
 
 def _s_work(context: VarContext, left: tuple, right: tuple, lcm) -> dict:
-    """S-polynomial of the elements with reducer tables left and right, as division's work dict.
+    """S-polynomial of the reducer tables left and right, as division's work dict.
 
-    Both leading terms cancel, so only the tails are written: a tail term of
-    offset o lands at key(lcm) + o.
+    It is lcm(l, l') times the S-polynomial of the two elements, for their
+    tables' leads l and l', which are 1 over Q(params).  Both leading terms
+    cancel, so only the tails are written: a tail term of offset o lands at
+    key(lcm) + o.
     """
     lcm_key = context._key(lcm)
-    _, inverse, tail = left
+    _, lead, tail = left
+    _, other, other_tail = right
+    common = math.gcd(lead, other)
+    u, v = other // common, lead // common
     work = {
-        tuple(map(add, lcm_key, offset)): c if inverse is None else c * inverse
+        tuple(map(add, lcm_key, offset)): c if u == 1 else c * u
         for offset, c in tail
     }
-    _, inverse, tail = right
-    factor = None if inverse is None else -inverse
     shifted = (
-        (tuple(map(add, lcm_key, offset)), -c if factor is None else c * factor)
-        for offset, c in tail
+        (tuple(map(add, lcm_key, offset)), -c if v == 1 else c * -v)
+        for offset, c in other_tail
     )
     return _collect(shifted, work)
 
 
 def _s_remainder(context: VarContext, tables: list[tuple], i: int, j: int, lcm) -> list[tuple]:
-    """Remainder of S(basis[i], basis[j]) modulo the basis, as division's (key, coefficient) list."""
-    return _reduce(_s_work(context, tables[i], tables[j], lcm), tables, context._covers)
+    """A nonzero multiple of the remainder of S(basis[i], basis[j]) modulo the basis.
+
+    It is division's (key, coefficient) list, highest term first.
+    """
+    return _reduce(_s_work(context, tables[i], tables[j], lcm), tables, context._covers)[0]
 
 
 def _nonzero(generators: Iterable[Polynomial]) -> list[Polynomial]:
@@ -218,7 +236,7 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
         context = basis[i].context
         remainder = _s_remainder(context, tables, i, j, lcm)
         if remainder:
-            insert(_polynomial(context, remainder).monic(), sugar)
+            insert(_monic(context, remainder), sugar)
         else:
             stats.zero += 1
     stats.peak_basis = len(basis)
@@ -249,13 +267,19 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     Elements are taken smallest leading monomial first.  A tail monomial is
     below its element's leading monomial, so no larger leading monomial divides
     it: reducing against the elements already reduced is enough, in one pass.
+    Only the monic remainder is kept, so the multiplier of the fraction-free
+    reduction over Q is not needed.
     """
     elements: list[Polynomial] = []
+    tables: list[tuple] = []
     for g in reversed(minimalize(basis).elements):
-        reduced = normal_form(g, elements).monic()
-        if not reduced:
+        context = g.context
+        remainder, _ = _reduce(_work(context, _keyed(g))[0], tables, context._covers)
+        if not remainder:
             raise ValueError("minimal basis element reduced to zero")
+        reduced = _monic(context, remainder)
         elements.append(reduced)
+        tables.append(_table(reduced))
     elements.reverse()
     return GroebnerBasis(tuple(elements), reduced=True, stats=basis.stats)
 
@@ -324,7 +348,7 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
     n = len(context.variables)
     steps = [key(tuple(int(i == j) for j in range(n))) for i in range(n)]
     one = context.coefficient(1)
-    normal: dict[tuple[int, ...], dict] = {}  # standard monomial -> its normal form
+    normal: dict[tuple[int, ...], dict] = {}  # standard monomial -> its exact normal form
     rows: list[tuple[tuple, dict, dict]] = []  # (pivot, row with pivot 1, its combination)
     leads: list[tuple[int, ...]] = []
     elements: list[Polynomial] = []
@@ -334,10 +358,12 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
         if monomial in normal or any(_divides(lead, monomial) for lead in leads):
             continue
         if parent is None:
-            work = {key(monomial): one}
+            items = [(key(monomial), one)]
         else:
-            work = {tuple(map(add, k, steps[i])): c for k, c in normal[parent].items()}
-        form = dict(_reduce(work, tables, covers))
+            items = [(tuple(map(add, k, steps[i])), c) for k, c in normal[parent].items()]
+        work, d = _work(order, items)
+        remainder, multiplier = _reduce(work, tables, covers)
+        form = dict(_divided(order, remainder, d * multiplier))
         relation = _eliminate(rows, dict(form), {monomial: one})
         if relation is None:
             normal[monomial] = form

@@ -43,6 +43,7 @@ from .coefficients import (
     _term_product,
     _term_str,
 )
+from .intgcd import is_constant
 
 CoefficientLike = Union["ParamFraction", "ParamPoly", Fraction, int, str]
 
@@ -303,7 +304,7 @@ def _coeff_str(coeff: ParamFraction) -> str:
     if coeff.negative_lead:
         coeff = -coeff
     text = str(coeff)
-    if coeff.den.is_one() and len(coeff.num.terms) > 1:
+    if is_constant(coeff.g) and len(coeff.f) > 1:
         return f"({text})"
     return text
 

@@ -1,14 +1,16 @@
 """Multivariate division: reconstruction identity, remainder purity, ordering."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from gbgeom.division import multivariate_divide, normal_form
-from gbgeom.groebner import GroebnerBasis
-from gbgeom.polynomials import VarContext, leading_parts
+from gbgeom.groebner import GroebnerBasis, s_polynomial
+from gbgeom.polynomials import Polynomial, VarContext, leading_parts
 
-from support import divides
+from support import divides, random_nonzero_polynomial
 
 CTX = VarContext(("x", "y"))
 X, Y = CTX.variable("x"), CTX.variable("y")
@@ -109,3 +111,90 @@ def test_division_result_exposes_inputs():
     result = multivariate_divide(f, divisors)
     assert result.divisors == tuple(divisors)
     assert len(result.quotients) == 1
+
+
+def fraction_long_division(f, divisors):
+    """The plain field long division the fraction-free kernel must agree with.
+
+    Each elimination divides by the divisor's leading coefficient over Q.
+    Besides the quotients and the remainder, it replays the kernel's integer
+    scale: the work starts as d * f for f's least common denominator d, and
+    eliminating a term of integer coefficient c by a divisor whose primitive
+    integer multiple has lead l rescales everything by l // gcd(c, l).  It
+    returns True as its last value when some rescale came after both a
+    remainder term and a quotient term were recorded.
+    """
+    ctx = f.context
+    leads = []
+    for g in divisors:
+        coefficients = [t.coefficient for t in g.terms]
+        lcm = math.lcm(*(c.denominator for c in coefficients))
+        lead = abs(coefficients[0]) * lcm / math.gcd(*(c.numerator for c in coefficients))
+        assert lead.denominator == 1
+        leads.append(lead.numerator)
+    scale = math.lcm(*(t.coefficient.denominator for t in f.terms))
+    work = {m: c for c, m in f.terms}
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    late_rescale = False
+    while work:
+        m = max(work)
+        c = work[m]
+        for i, g in enumerate(divisors):
+            lead_coefficient, lead_monomial = g.terms[0]
+            if divides(lead_monomial, m):
+                integer = c * scale
+                assert integer.denominator == 1  # the kernel's work dict stays integral
+                if integer.numerator % leads[i]:
+                    scale *= leads[i] // math.gcd(integer.numerator, leads[i])
+                    late_rescale = late_rescale or (bool(remainder) and any(quotients))
+                factor = c / lead_coefficient
+                shift = tuple(a - b for a, b in zip(m, lead_monomial))
+                quotients[i][shift] = quotients[i].get(shift, 0) + factor
+                for tc, tm in g.terms:
+                    k = tuple(a + b for a, b in zip(shift, tm))
+                    work[k] = work.get(k, 0) - factor * tc
+                    if not work[k]:
+                        del work[k]
+                break
+        else:
+            remainder[m] = work.pop(m)
+    quotients = [Polynomial.from_terms(ctx, q.items()) for q in quotients]
+    return quotients, Polynomial.from_terms(ctx, remainder.items()), late_rescale
+
+
+def test_fraction_free_kernel_equals_field_long_division():
+    rng = random.Random(20261019)
+    ctx = VarContext(("x", "y", "z"))
+    late = 0
+    for _ in range(200):
+        f = random_nonzero_polynomial(rng, ctx, max_terms=8, max_degree=3)
+        divisors = [
+            random_nonzero_polynomial(rng, ctx, max_terms=3, max_degree=2)
+            for _ in range(rng.randint(1, 3))
+        ]
+        result = multivariate_divide(f, divisors)
+        assert result.reconstruct() == f
+        assert_pure(result.remainder, divisors)
+        quotients, remainder, late_rescale = fraction_long_division(f, divisors)
+        assert list(result.quotients) == quotients
+        assert result.remainder == remainder
+        assert normal_form(f, divisors) == remainder
+        late += late_rescale
+    # the draws exercise rescaling after remainder and quotient terms exist
+    assert late >= 10, late
+
+
+def test_s_polynomial_of_non_integral_non_monic_inputs():
+    rng = random.Random(1993)
+    ctx = VarContext(("x", "y", "z"))
+    for _ in range(100):
+        f = random_nonzero_polynomial(rng, ctx, max_terms=4, max_degree=3)
+        g = random_nonzero_polynomial(rng, ctx, max_terms=4, max_degree=3)
+        lcm = tuple(map(max, f.terms[0].monomial, g.terms[0].monomial))
+        # lcm / lt(p) as a polynomial
+        left, right = (
+            Polynomial.from_terms(ctx, [(tuple(a - b for a, b in zip(lcm, m)), 1 / c)])
+            for c, m in (f.terms[0], g.terms[0])
+        )
+        assert s_polynomial(f, g) == left * f - right * g

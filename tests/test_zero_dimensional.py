@@ -123,6 +123,25 @@ def test_stats_on_the_route_are_the_grevlex_run():
     assert stats != buchberger(gens).stats
 
 
+@pytest.mark.parametrize(
+    "system, counts",
+    [
+        (katsura(3), (26, 13, 2, 11, 6, 9)),
+        (katsura(4), (85, 39, 16, 30, 20, 15)),
+        (cyclic(4), (28, 9, 11, 8, 7, 8)),
+        (cyclic(5), (714, 131, 471, 112, 75, 42)),
+    ],
+    ids=["katsura-3", "katsura-4", "cyclic-4", "cyclic-5"],
+)
+def test_pair_loop_counts_are_pinned(system, counts):
+    # a reduction that only multiplies each remainder by a nonzero constant
+    # takes the same pair decisions, so the counts of the field kernel hold
+    stats = reduced_basis(parsed(system)).stats
+    assert (
+        stats.formed, stats.coprime, stats.chain, stats.reduced, stats.zero, stats.peak_basis
+    ) == counts
+
+
 def test_grevlex_is_a_private_context_of_its_own():
     lex = VarContext(("x", "y", "z"))
     order = _Grevlex(lex.variables)
@@ -149,14 +168,25 @@ def test_grevlex_heap_key_is_linear_and_inverts():
         assert (order._key(u) < order._key(v)) == higher
 
 
-def test_reducer_table_is_built_once_and_skips_a_monic_inverse():
+def test_reducer_table_is_built_once_integral_over_q_and_monic_over_params():
     ctx = VarContext(("x", "y"))
     x, y = ctx.variable("x"), ctx.variable("y")
-    monic, scaled = x * y - 1, (x * y - 1).scale(3)
-    table = _table(monic)
-    assert _table(monic) is table
-    assert table[1] is None
-    assert _table(scaled)[1] == Fraction(1, 3)
+    g = x * y / 2 + Fraction(1, 3)
+    table = _table(g)
+    assert _table(g) is table
+    # over Q: the primitive integer multiple 3xy + 2, with a positive int lead
+    bound, lead, tail = table
+    assert type(lead) is int and lead == 3
+    assert tail == (((1, 1), 2),) and type(tail[0][1]) is int
+    assert _table(-g)[1:] == (3, (((1, 1), 2),))
     # the tables stay outside equality and hashing
-    assert monic == x * y - 1 and hash(monic) == hash(x * y - 1)
-    assert normal_form(x * x * y, [scaled]) == x
+    assert g == x * y / 2 + Fraction(1, 3) and hash(g) == hash(x * y / 2 + Fraction(1, 3))
+    assert normal_form(x * x * y, [g]) == -Fraction(2, 3) * x
+    # over Q(params): the tail divided once by the leading coefficient, lead 1
+    pctx = VarContext(("x", "y"), ("a",))
+    px, py, a = pctx.variable("x"), pctx.variable("y"), pctx.coefficient("a")
+    h = px * py * a + 1
+    _, lead, tail = _table(h)
+    assert lead == 1
+    assert tail == (((1, 1), 1 / a),)
+    assert normal_form(px * px * py, [h]) == -px / a
