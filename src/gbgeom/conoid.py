@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import Coefficient, ParamFraction, ParamPoly, _lifted
+from .coefficients import Coefficient, ParamFraction, _lifted, _rational
 from .division import normal_form
 from .groebner import GroebnerBasis, reduced_basis
 from .polynomials import (
@@ -44,7 +44,7 @@ CONCLUSION = "no plane section is a non-degenerate conic"
 
 @dataclass(frozen=True)
 class ConoidParams:
-    """Shape parameters: symbolic names or exact positive rationals.
+    """Shape parameters: symbolic names or exact positive rationals (ints or Fractions).
 
     a and b are the egg-curve semi-axes, d the offset of the moving circle
     and h the height of the line directrix.  Numeric values must satisfy
@@ -67,7 +67,7 @@ class ConoidParams:
                 if not value.isidentifier():
                     raise ValueError(f"invalid parameter name: {value!r}")
             else:
-                value = Fraction(value)
+                value = _rational(value)
                 object.__setattr__(self, name, value)
                 if value <= 0:
                     raise ValueError(f"parameter {name} must be positive")
@@ -83,7 +83,7 @@ class ConoidParams:
 
     @classmethod
     def numeric(cls, a, b, d, h) -> "ConoidParams":
-        return cls(Fraction(a), Fraction(b), Fraction(d), Fraction(h))
+        return cls(*(_rational(v) for v in (a, b, d, h)))
 
     @property
     def is_numeric(self) -> bool:
@@ -334,46 +334,24 @@ def plane_projection(params: ConoidParams, case: str) -> Polynomial:
 CONSTRAINT_MONOMIALS = ((2, 2, 0), (1, 3, 0), (0, 4, 0), (1, 2, 0), (0, 3, 0))
 
 
-def _drop_param(p: ParamPoly, index: int) -> ParamPoly:
-    """Set one parameter to 1 by zeroing its exponent."""
-    return ParamPoly(
-        p.params, ((e[:index] + (0,) + e[index + 1:], c) for e, c in p.terms)
-    )
-
-
-def _regroup(fr: ParamFraction, source: tuple[str, ...], target: VarContext) -> Polynomial:
-    """Rebuild a coefficient as a polynomial in some of its parameters, with C := 1."""
-    c_index = source.index("C")
-    num = _drop_param(fr.num, c_index)
-    den = _drop_param(fr.den, c_index)
-    if not den.is_constant():
-        raise ValueError("denominator is not a power of C")
-    poly = num.quo_ground(den.constant_value())
-    var_index = [source.index(v) for v in target.variables]
-    param_index = [source.index(p) for p in target.parameters]
-    grouped: dict[tuple[int, ...], list] = {}
-    for exps, coeff in poly.terms:
-        var_part = tuple(exps[i] for i in var_index)
-        param_part = tuple(exps[i] for i in param_index)
-        grouped.setdefault(var_part, []).append((param_part, coeff))
-    pairs = [
-        (exps, ParamPoly(target.parameters, terms)) for exps, terms in grouped.items()
-    ]
-    return Polynomial.from_terms(target, pairs)
-
-
 def conic_constraints() -> list[Polynomial]:
     """The five conditions on A, B, D (C normalized to 1) for a degree-two section.
 
-    Each is the coefficient of a degree>2 monomial of the projected quartic;
-    a plane section can be a conic only where all five vanish.
+    The surface is built with A, B, D as variables after x, y, z over
+    Q(a, b, d, h), and z = -(A*x + B*y + D) is substituted.  Each constraint is
+    read off that ring: the terms whose x, y, z part is one of
+    ``CONSTRAINT_MONOMIALS``, a degree>2 monomial of the projected quartic, as
+    a polynomial in A, B, D.  A plane section can be a conic only where all
+    five vanish.
     """
     params = ConoidParams.symbolic()
-    projection = plane_projection(params, "xy")
-    source = projection.context.parameters
-    target = VarContext(("A", "B", "D"), ("a", "b", "d", "h"))
+    ctx = params.context(extra_vars=("A", "B", "D"))
+    A, B, D = (ctx.variable(n) for n in ("A", "B", "D"))
+    x, y = ctx.variable("x"), ctx.variable("y")
+    projection = substitute(conoid_surface(params, ctx), "z", -(A * x + B * y + D))
+    target = VarContext(("A", "B", "D"), ctx.parameters)
     return [
-        _regroup(coefficient_of(projection, exps), source, target)
+        Polynomial.from_terms(target, [(m[3:], c) for c, m in projection.terms if m[:3] == exps])
         for exps in CONSTRAINT_MONOMIALS
     ]
 
@@ -498,23 +476,17 @@ def final_verdict() -> ConoidVerdict:
     constraints = conic_constraints()
     constraint_basis = reduced_basis(constraints)
     families = _verified_families(constraints, constraint_basis)
-    ctx = params.context()
-    surface = conoid_surface(params, ctx)
-    bases = tuple(
-        reduced_basis((surface, family.plane_equation())) for family in families
-    )
+    surface = conoid_surface(params)
+    planes = [family.plane_equation() for family in families]
+    bases = tuple(reduced_basis((surface, plane)) for plane in planes)
     projection = plane_projection(params, "xz")
     forced = coefficient_of(projection, (3, 0, 1))
-    shown = [
-        ", ".join(str(clear_denominators(g)) for g in basis) for basis in bases
-    ]
+    shown = [", ".join(str(clear_denominators(g)) for g in basis) for basis in bases]
     branches = (
         "C != 0: a degree-two section must satisfy all five conic constraints, "
         "whose ideal admits exactly the two candidate families",
-        f"family 1 ({families[0].plane_equation()} = 0): "
-        f"reduced basis {{{shown[0]}}}, a double line",
-        f"family 2 ({families[1].plane_equation()} = 0): "
-        f"reduced basis {{{shown[1]}}}, a double line",
+        f"family 1 ({planes[0]} = 0): reduced basis {{{shown[0]}}}, a double line",
+        f"family 2 ({planes[1]} = 0): reduced basis {{{shown[1]}}}, a double line",
         "C = 0, B = 0, A = 0: no plane at all",
         "C = 0, B = 0, A != 0: plane x = -D/A, an axis-parallel section "
         "(quartic curve or degenerate locus)",

@@ -100,8 +100,7 @@ def _size(p: Polynomial) -> int:
     unknowns.
     """
     return sum(
-        len(c.num.terms) + len(c.den.terms) - 1 if isinstance(c, ParamFraction) else 1
-        for c, _ in p.terms
+        len(c.f) + len(c.g) - 1 if isinstance(c, ParamFraction) else 1 for c, _ in p.terms
     )
 
 

@@ -75,7 +75,11 @@ class PlaneFamily:
         return tuple(out)
 
     def contains(self, plane) -> bool:
-        """Span membership of a plane, given as 4 coefficients or a linear polynomial."""
+        """Span membership of a plane, given as 4 coefficients or a linear polynomial.
+
+        Raises ValueError for a polynomial from another context, a coefficient
+        tuple of another length, or A = B = C = 0, which is no plane.
+        """
         rows: list[tuple] = []
         # a vector that vanishes adds no row: the last one, the target, decides
         for vector in (*self.planes, _plane_vector(self.context, plane)):
@@ -152,14 +156,20 @@ def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
 
 
 def _plane_vector(context: VarContext, plane) -> PlaneCoefficients:
+    """(A, B, C, D) of a linear polynomial in context or of four coefficients."""
     if isinstance(plane, Polynomial):
+        if plane.context != context:
+            raise ValueError("mismatched contexts")
         if plane.total_degree() > 1:
             raise ValueError("not a plane equation")
         nvars = len(context.variables)
-        coeffs = []
-        for i in range(nvars):
-            mono = tuple(1 if j == i else 0 for j in range(nvars))
-            coeffs.append(coefficient_of(plane, mono))
-        coeffs.append(coefficient_of(plane, (0,) * nvars))
-        return tuple(coeffs)
-    return tuple(context.coefficient(c) for c in plane)
+        monomials = [tuple(int(j == i) for j in range(nvars)) for i in range(nvars)]
+        vector = tuple(coefficient_of(plane, m) for m in (*monomials, (0,) * nvars))
+    else:
+        vector = tuple(plane)
+        if len(vector) != 4:
+            raise ValueError(f"a plane has 4 coefficients, not {len(vector)}")
+        vector = tuple(context.coefficient(c) for c in vector)
+    if not any(vector[:3]):
+        raise ValueError("not a plane equation")
+    return vector

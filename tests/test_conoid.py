@@ -7,6 +7,7 @@ import pytest
 
 from gbgeom.conoid import (
     CONCLUSION,
+    CONSTRAINT_MONOMIALS,
     ConoidParams,
     axis_section,
     conic_constraint_basis,
@@ -47,6 +48,15 @@ def test_parameter_validation():
         ConoidParams.numeric(2, 1, 1, 0)  # h not positive
     with pytest.raises(ValueError):
         ConoidParams(a="not an identifier!")
+
+
+def test_parameters_refuse_floats():
+    assert ConoidParams.numeric(2, 1, Fraction(1, 2), 1).d == Fraction(1, 2)
+    for value in (0.1, float("inf")):
+        with pytest.raises(TypeError, match="not an exact coefficient"):
+            ConoidParams.numeric(2, 1, value, 1)
+    with pytest.raises(TypeError, match="not an exact coefficient"):
+        ConoidParams(h=2.0)
 
 
 def test_egg_curve_symbolic_form():
@@ -225,6 +235,17 @@ def test_conic_constraints_match_the_projection_coefficients():
         ctx.constant(2 * d * h * h)
     )
     assert constraints[4] == (B * D).scale(2 * s) + B.scale(2 * h * s)
+    # the constraints are built apart from the projection: tie them to its
+    # coefficients at C = 1 at seeded rational points
+    projection = plane_projection(ConoidParams.symbolic(), "xy")
+    rng = random.Random(14)
+    for _ in range(5):
+        point = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for n in "abdhABD"}
+        params = {n: point[n] for n in "abdh"}
+        plane = {n: point[n] for n in "ABD"}
+        for exps, constraint in zip(CONSTRAINT_MONOMIALS, constraints):
+            expected = coefficient_of(projection, exps).evaluate(point | {"C": Fraction(1)})
+            assert constraint.evaluate(plane, params) == expected
 
 
 def test_constraint_basis_is_reduced_and_pinned():

@@ -107,6 +107,30 @@ def test_detect_planes_two_dimensional_family():
     assert twice.contains(x * 3) and not twice.contains(y)
 
 
+def test_contains_refuses_a_plane_from_another_context():
+    family = detect_planes(paraboloid_system()).family
+    other = VarContext(("u", "v", "w"), ("a", "b"))
+    u, v, w = (other.variable(n) for n in ("u", "v", "w"))
+    a, b = other.coefficient("a"), other.coefficient("b")
+    with pytest.raises(ValueError, match="mismatched contexts"):
+        family.contains(u.scale(b) + v.scale(a) - w.scale(a * b))
+
+
+def test_contains_refuses_a_coefficient_tuple_of_the_wrong_length():
+    family = detect_planes([QCTX.variable("x"), QCTX.variable("y")]).family
+    with pytest.raises(ValueError):
+        family.contains((1, 0))
+    with pytest.raises(ValueError):
+        family.contains((1, 0, 0, 0, 0))
+
+
+def test_contains_refuses_a_zero_plane():
+    family = detect_planes([QCTX.variable("x"), QCTX.variable("y")]).family
+    for plane in (QCTX.zero(), QCTX.constant(3), (0, 0, 0, 0), (0, 0, 0, 1)):
+        with pytest.raises(ValueError, match="not a plane equation"):
+            family.contains(plane)
+
+
 def test_detect_planes_none_for_space_curve():
     x, y, z = (QCTX.variable(n) for n in ("x", "y", "z"))
     detection = detect_planes([x * x - y, x * x * x - z])
