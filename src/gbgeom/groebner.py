@@ -39,13 +39,14 @@ computes the reduced basis under graded reverse lex (``polynomials._Grevlex``),
 which is far cheaper than lex.  If that basis has a pure power of every
 variable among its leading monomials, the ideal is zero-dimensional, and FGLM
 (Faugere, Gianni, Lazard and Mora, J. Symb. Comp. 16, 1993) converts it to
-the lex one by linear algebra.  That needs exact normal forms, so over Q
-each remainder is divided by the multiplier the fraction-free reduction
-returns and by the denominator cleared from its input.  Otherwise the
-grevlex basis, already complete under one order, replaces the generators of
-the lex pair loop.  By Krull's height theorem a proper ideal with fewer
-generators than variables is never zero-dimensional, so those go straight
-to lex.
+the lex one by linear algebra.  Over Q that linear algebra is fraction-free
+too: each normal form is kept as an integer remainder with an integer
+denominator, the incremental elimination (``_eliminate``) keeps primitive
+integer rows, and ``Fraction``s appear only when a relation is made monic as
+a lex basis element.  Otherwise the grevlex basis, already complete under
+one order, replaces the generators of the lex pair loop.  By Krull's height
+theorem a proper ideal with fewer generators than variables is never
+zero-dimensional, so those go straight to lex.
 
 A monomial is an exponent tuple: an lcm is ``map(max, ...)``, two monomials
 are coprime when ``map(min, ...)`` is all zero, and ``_divides`` is
@@ -304,27 +305,61 @@ def _zero_dimensional(basis: GroebnerBasis) -> bool:
     return len(powers) == len(basis.context.variables)
 
 
-def _eliminate(rows: list[tuple], vector: dict, combination: dict) -> dict | None:
-    """Eliminate a sparse vector against the rows, changing it and its combination in place.
+def _primitive(vector: dict, combination: dict, sign: int) -> tuple[dict, dict]:
+    """Integer vector and combination divided by sign times the gcd of all their entries."""
+    content = math.gcd(*vector.values(), *combination.values()) * sign
+    if content in (0, 1):
+        return vector, combination
+    return (
+        {k: v // content for k, v in vector.items()},
+        {k: v // content for k, v in combination.items()},
+    )
 
-    A row is (pivot, row with 1 at the pivot, its combination), zero at
-    earlier rows' pivots.  A vanishing vector returns its combination, a
-    relation; any other joins the rows, scaled to 1 at its first entry.
+
+def _eliminate(rows: list[tuple], vector: dict, combination: dict) -> dict | None:
+    """Eliminate a sparse vector against the rows, consuming it and its combination.
+
+    The combination records which multiple of the inputs the vector is.  A row
+    is (pivot, lead, row, its combination), zero at earlier rows' pivots, with
+    lead its entry at the pivot.  Over Q the vector and combination hold
+    integers and a row is primitive: the gcd of its entries and its
+    combination's is 1.  Before an entry c is eliminated by a row of lead l,
+    the vector and its combination are multiplied by l // gcd(c, l), and
+    after each row step their content is divided out, which keeps the
+    integers from growing with the number of rows.  Over Q(params) every row
+    is made monic once, so l is 1 and nothing is multiplied.  A vanishing
+    vector returns its combination, a relation, up to a nonzero constant over
+    Q; any other joins the rows, with its first entry as the pivot.
     """
-    for pivot, row, combo in rows:
+    for pivot, lead, row, combo in rows:
         c = vector.get(pivot)
-        if c is not None:
-            _collect(((k, -c * v) for k, v in row.items()), vector)
-            _collect(((k, -c * v) for k, v in combo.items()), combination)
+        if c is None:
+            continue
+        if lead != 1:
+            common = math.gcd(c, lead)
+            m = lead // common
+            if m != 1:
+                vector = {k: v * m for k, v in vector.items()}
+                combination = {k: v * m for k, v in combination.items()}
+            c //= common
+        _collect(((k, -c * v) for k, v in row.items()), vector)
+        _collect(((k, -c * v) for k, v in combo.items()), combination)
+        if type(c) is int:
+            vector, combination = _primitive(vector, combination, 1)
     if not vector:
         return combination
     pivot, c = next(iter(vector.items()))
-    inverse = 1 / c
-    rows.append((
-        pivot,
-        {k: v * inverse for k, v in vector.items()},
-        {k: v * inverse for k, v in combination.items()},
-    ))
+    if type(c) is int:
+        vector, combination = _primitive(vector, combination, 1 if c > 0 else -1)
+        rows.append((pivot, vector[pivot], vector, combination))
+    else:
+        inverse = 1 / c
+        rows.append((
+            pivot,
+            1,
+            {k: v * inverse for k, v in vector.items()},
+            {k: v * inverse for k, v in combination.items()},
+        ))
     return None
 
 
@@ -334,22 +369,26 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
     Monomials are taken in increasing lex order, each one a variable times a
     standard monomial found before it, so its normal form is that standard
     monomial's normal form shifted by the variable and reduced once more.
-    Normal forms live in division's key space.  Each one is eliminated
+    Normal forms live in division's key space.  Over Q each one is kept as
+    (r, d), integers with no common factor whose quotient r / d is the exact
+    normal form: the remainder ``_reduce`` returns for the shifted r, and the
+    multiplier times the parent's d, with their content divided out.  Over
+    Q(params) r is the normal form itself and d is 1.  Each r is eliminated
     against the rows kept so far (``_eliminate``), recording the combination
-    of monomials it came from.  If it vanishes, that combination is a monic
-    element of the reduced lex basis whose leading monomial is the current
-    one, and no multiple of it is taken later; otherwise it joins the rows
-    and the monomial is standard.  The walk ends because the quotient ring has finite
-    dimension.
+    of monomials it came from, which starts as d times the current one.  If
+    it vanishes, that combination, made monic, is an element of the reduced
+    lex basis whose leading monomial is the current one, and no multiple of
+    it is taken later; otherwise it joins the rows and the monomial is
+    standard.  The walk ends because the quotient ring has finite dimension.
     """
     order = basis.context
     tables = [_table(g) for g in basis]
     covers, key = order._covers, order._key
     n = len(context.variables)
     steps = [key(tuple(int(i == j) for j in range(n))) for i in range(n)]
-    one = context.coefficient(1)
-    normal: dict[tuple[int, ...], dict] = {}  # standard monomial -> its exact normal form
-    rows: list[tuple[tuple, dict, dict]] = []  # (pivot, row with pivot 1, its combination)
+    one = context.coefficient(1) if context.parameters else 1
+    normal: dict[tuple[int, ...], tuple] = {}  # standard monomial -> (r, d), normal form r / d
+    rows: list[tuple] = []
     leads: list[tuple[int, ...]] = []
     elements: list[Polynomial] = []
     queue = [((0,) * n, None, 0)]  # (monomial, the standard monomial it extends, variable)
@@ -358,21 +397,28 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
         if monomial in normal or any(_divides(lead, monomial) for lead in leads):
             continue
         if parent is None:
-            items = [(key(monomial), one)]
+            work, d = {key(monomial): one}, one
         else:
-            items = [(tuple(map(add, k, steps[i])), c) for k, c in normal[parent].items()]
-        work, d = _work(order, items)
+            form, d = normal[parent]
+            work = {tuple(map(add, k, steps[i])): c for k, c in form.items()}
         remainder, multiplier = _reduce(work, tables, covers)
-        form = dict(_divided(order, remainder, d * multiplier))
-        relation = _eliminate(rows, dict(form), {monomial: one})
+        form = dict(remainder)
+        if multiplier != 1 or d != 1:
+            d *= multiplier
+            content = math.gcd(*form.values(), d)
+            if content != 1:
+                d //= content
+                form = {k: c // content for k, c in form.items()}
+        relation = _eliminate(rows, dict(form), {monomial: d})
         if relation is None:
-            normal[monomial] = form
+            normal[monomial] = form, d
             for v in range(n):
                 step = monomial[:v] + (monomial[v] + 1,) + monomial[v + 1:]
                 heapq.heappush(queue, (step, monomial, v))
         else:
             leads.append(monomial)
-            elements.append(Polynomial._make(context, _terms(_lex_sorted(relation))))
+            monic = _divided(context, relation.items(), relation[monomial])
+            elements.append(Polynomial._make(context, _terms(_lex_sorted(dict(monic)))))
     elements.reverse()
     return GroebnerBasis(tuple(elements), reduced=True, stats=basis.stats)
 

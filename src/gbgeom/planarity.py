@@ -13,7 +13,12 @@ Three views of the same question, in increasing strength:
   A*NF(x) + B*NF(y) + C*NF(z) + D*NF(1) vanishes.  Eliminating the four
   normal forms in turn, as FGLM does (``groebner._eliminate``), gives one
   relation for each that depends on the ones before it; these span every
-  such plane, including the ones a basis scan misses.
+  such plane, including the ones a basis scan misses.  Each column is
+  reduced by division's kernel against the basis's reducer tables, so over
+  Q the normal forms, the elimination and the relations stay on integers,
+  and each plane vector is divided by its lead only at the end.
+  ``PlaneFamily.contains`` clears its vectors to integers for the same
+  kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .coefficients import Coefficient
-from .division import normal_form
+from .division import _divided, _reduce, _table, _work
 from .groebner import GroebnerBasis, _divides, _eliminate, reduce_basis, reduced_basis
 from .polynomials import Polynomial, VarContext, coefficient_of
 
@@ -83,7 +88,9 @@ class PlaneFamily:
         rows: list[tuple] = []
         # a vector that vanishes adds no row: the last one, the target, decides
         for vector in (*self.planes, _plane_vector(self.context, plane)):
-            relation = _eliminate(rows, {i: c for i, c in enumerate(vector) if c}, {})
+            # cleared to integers over Q; its scale does not change the span
+            work, _ = _work(self.context, [(i, c) for i, c in enumerate(vector) if c])
+            relation = _eliminate(rows, work, {})
         return relation is not None
 
 
@@ -136,20 +143,25 @@ def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
         raise ValueError("plane detection needs exactly three variables")
     if any(g.is_constant() for g in basis.elements):
         return PlaneDetection("empty-variety", None)
-    columns = [context.variable(name) for name in context.variables] + [context.one()]
-    zero, one = context.coefficient(0), context.coefficient(1)
+    tables = [_table(g) for g in basis]
+    key, covers = context._key, context._covers
+    columns = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    zero = context.coefficient(0)
+    one = context.coefficient(1) if context.parameters else 1
     rows: list[tuple] = []
     planes = []
     for i, column in enumerate(columns):
-        relation = _eliminate(rows, {m: c for c, m in normal_form(column, basis).terms}, {i: one})
+        # multiplier times NF(column), on integers over Q
+        remainder, multiplier = _reduce({key(column): one}, tables, covers)
+        relation = _eliminate(rows, dict(remainder), {i: one * multiplier})
         if relation is None:
             continue
-        vec = [relation.get(j, zero) for j in range(4)]
-        lead = next((c for c in vec[:3] if c), None)
+        lead = next((relation[j] for j in range(3) if j in relation), None)
         if lead is None:
             # A = B = C = 0 forces D*1 in the ideal, caught as empty variety above
             raise ValueError("degenerate plane vector")
-        planes.append(tuple(c / lead for c in vec))
+        plane = dict(_divided(context, relation.items(), lead))
+        planes.append(tuple(plane.get(j, zero) for j in range(4)))
     if not planes:
         return PlaneDetection("none", None)
     return PlaneDetection("planes", PlaneFamily(context, tuple(planes)))

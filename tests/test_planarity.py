@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gbgeom import parse_expression
 from gbgeom.groebner import GroebnerBasis, reduced_basis
 from gbgeom.planarity import PlaneFamily, detect_planes, lt_membership, scan_linear
 from gbgeom.polynomials import VarContext, clear_denominators
@@ -129,6 +130,23 @@ def test_contains_refuses_a_zero_plane():
     for plane in (QCTX.zero(), QCTX.constant(3), (0, 0, 0, 0), (0, 0, 0, 1)):
         with pytest.raises(ValueError, match="not a plane equation"):
             family.contains(plane)
+
+
+def test_planes_do_not_depend_on_the_scale_of_a_generator():
+    # three generators in three variables: the grevlex route and FGLM
+    gens = [parse_expression(t, QCTX) for t in ("x - 1/3", "y^2 - 2/5", "z - x*y")]
+    family = detect_planes(gens).family
+    assert family.planes == ((0, 1, -3, 0), (1, 0, 0, Fraction(-1, 3)))
+    assert all(type(c) is Fraction for plane in family.planes for c in plane)
+    for i in range(3):
+        for scale in (Fraction(3, 7), Fraction(-5, 2), 6):
+            scaled = [g.scale(scale) if j == i else g for j, g in enumerate(gens)]
+            assert detect_planes(scaled).family.planes == family.planes
+    # the span: A*x + B*y - 3*B*z - A/3 = 0
+    assert family.contains((Fraction(2, 3), Fraction(-1, 2), Fraction(3, 2), Fraction(-2, 9)))
+    assert family.contains(parse_expression("3*x - 1", QCTX))
+    assert not family.contains((1, 1, 0, 0))
+    assert not family.contains((Fraction(1, 2), 0, 0, Fraction(1, 6)))
 
 
 def test_detect_planes_none_for_space_curve():

@@ -1,23 +1,26 @@
-"""Zero-dimensional ideals: the graded reverse lex route and FGLM, and the reducer tables.
+"""Zero-dimensional ideals: the graded reverse lex route and FGLM, and the kernels' layouts.
 
 ``reduced_basis`` answers a zero-dimensional ideal with at least as many
 generators as variables by a grevlex basis converted to lex by FGLM.  These
 tests check the route's answer by certificate and against the lex pair loop,
-check which inputs take the route, and pin the private grevlex context and
-the reducer tables the fused S-pair kernel reads.
+check which inputs take the route, and pin the private grevlex context, the
+reducer tables the fused S-pair kernel reads and the rows of the
+elimination kernel FGLM and plane detection share.
 """
 
+import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from gbgeom import conic_constraints, groebner, parse_expression
-from gbgeom.division import _table, normal_form
-from gbgeom.groebner import buchberger, is_groebner, reduce_basis, reduced_basis
+from gbgeom.division import _table, _work, normal_form
+from gbgeom.groebner import _eliminate, buchberger, is_groebner, reduce_basis, reduced_basis
 from gbgeom.polynomials import VarContext, _Grevlex
 
-from support import cyclic, katsura, parsed, stress_system, systems
+from support import cyclic, katsura, parsed, random_fraction, stress_system, systems
 
 
 def grevlex_basis(gens):
@@ -52,9 +55,23 @@ def test_katsura_4_certificate():
     assert len(standard_monomials(basis)) == 16 == len(standard_monomials(grevlex))
 
 
+def scaled_katsura_3():
+    """katsura-3 with its generators scaled by non-integer rationals: the same ideal."""
+    scales = (Fraction(3, 7), Fraction(-5, 2), Fraction(11, 3), Fraction(-1, 4))
+    return [g.scale(s) for g, s in zip(parsed(katsura(3)), scales)]
+
+
+def substituted_katsura_3():
+    """katsura-3 with u1 replaced by 2/3 * u1, so its reduced bases hold non-integer rationals."""
+    ctx, polys = katsura(3)
+    return parsed((ctx, [p.replace("u1", "(2/3*u1)") for p in polys]))
+
+
 DIFFERENTIAL = {
     "katsura-2": lambda: parsed(katsura(2)),
     "katsura-3": lambda: parsed(katsura(3)),
+    "katsura-3-scaled": scaled_katsura_3,
+    "katsura-3-substituted": substituted_katsura_3,
     "cyclic-3": lambda: parsed(cyclic(3)),
     "cyclic-4": lambda: parsed(cyclic(4)),
     "cyclic-5": lambda: parsed(cyclic(5)),
@@ -68,6 +85,15 @@ def test_route_matches_the_lex_pair_loop(name):
     gens = DIFFERENTIAL[name]()
     assert len(gens) >= len(gens[0].context.variables)
     assert reduced_basis(gens).elements == reduce_basis(buchberger(gens)).elements
+
+
+def test_rational_differential_cases_are_not_integral():
+    # the denominator and content bookkeeping of FGLM is exercised only when
+    # the generators, and the grevlex basis it converts, are not integral
+    assert reduced_basis(scaled_katsura_3()).elements == reduced_basis(parsed(katsura(3))).elements
+    assert any(c.denominator != 1 for g in scaled_katsura_3() for c, _ in g.terms)
+    grevlex = grevlex_basis(substituted_katsura_3())
+    assert any(c.denominator != 1 for g in grevlex for c, _ in g.terms)
 
 
 @pytest.fixture
@@ -190,3 +216,116 @@ def test_reducer_table_is_built_once_integral_over_q_and_monic_over_params():
     assert lead == 1
     assert tail == (((1, 1), 1 / a),)
     assert normal_form(px * px * py, [h]) == -px / a
+
+
+def field_eliminate(rows, vector, combination):
+    """The elimination over the field that the integer kernel replaces.
+
+    A row is (pivot, row with 1 at the pivot, its combination); the vector
+    and combination are dicts of field elements, changed in place.
+    """
+    for pivot, row, combo in rows:
+        c = vector.get(pivot)
+        if c:
+            for target, source in ((vector, row), (combination, combo)):
+                for k, v in source.items():
+                    target[k] = target.get(k, 0) - c * v
+                    if not target[k]:
+                        del target[k]
+    if not vector:
+        return combination
+    pivot, c = next(iter(vector.items()))
+    inverse = 1 / c
+    rows.append((
+        pivot,
+        {k: v * inverse for k, v in vector.items()},
+        {k: v * inverse for k, v in combination.items()},
+    ))
+    return None
+
+
+def proportional(left, right):
+    """True when two nonzero dicts are nonzero multiples of each other."""
+    return left.keys() == right.keys() and len({left[k] / right[k] for k in left}) == 1
+
+
+def span_draws(rng, draw, dimension, count):
+    """Sparse vectors: a few random ones, then random combinations of those, so some vanish."""
+    keys = [(i, -i) for i in range(dimension)]
+    base = [
+        {k: draw() for k in rng.sample(keys, rng.randint(1, dimension))}
+        for _ in range(count // 2)
+    ]
+    vectors = list(base)
+    for _ in range(count - len(base)):
+        total = {}
+        for v in rng.sample(base, rng.randint(1, 3)):
+            factor = draw()
+            for k, c in v.items():
+                total[k] = total.get(k, 0) + factor * c
+        vectors.append({k: c for k, c in total.items() if c})
+    rng.shuffle(vectors)
+    return vectors
+
+
+def assert_rows_are_their_combinations(rows, inputs):
+    """Each row equals its combination of the inputs, and is zero at earlier rows' pivots."""
+    for n, (pivot, _, row, combo) in enumerate(rows):
+        total = {}
+        for i, factor in combo.items():
+            for k, c in inputs[i].items():
+                total[k] = total.get(k, 0) + factor * c
+        assert {k: c for k, c in total.items() if c} == row
+        assert not any(earlier[0] in row for earlier in rows[:n])
+
+
+def test_elimination_rows_over_q_are_primitive_integer_vectors():
+    rng = random.Random(1993)
+    ctx = VarContext(("x",))
+    relations = scaled = 0
+    for _ in range(20):
+        vectors = span_draws(rng, lambda: random_fraction(rng) or Fraction(1), 6, 10)
+        rows, field_rows = [], []
+        for i, vector in enumerate(vectors):
+            # cleared as the callers clear it: d * vector on integers, recorded as d times input i
+            work, d = _work(ctx, vector.items())
+            scaled += any(lead != 1 and pivot in work for pivot, lead, _, _ in rows)
+            relation = _eliminate(rows, work, {i: d})
+            expected = field_eliminate(field_rows, dict(vector), {i: Fraction(1)})
+            assert (relation is None) == (expected is None)
+            if relation is not None:
+                relations += 1
+                # content is divided out after every row step, so a relation is primitive
+                assert all(type(c) is int for c in relation.values())
+                assert math.gcd(*relation.values()) == 1
+                assert proportional(relation, expected)
+            for pivot, lead, row, combo in rows:
+                assert all(type(c) is int for c in (*row.values(), *combo.values()))
+                assert math.gcd(*row.values(), *combo.values()) == 1
+                assert type(lead) is int and lead == row[pivot] and lead > 0
+            assert_rows_are_their_combinations(rows, vectors)
+            assert [r[0] for r in rows] == [r[0] for r in field_rows]
+    # the draws exercise both outcomes and rows whose lead is not 1
+    assert relations >= 50 and scaled >= 50, (relations, scaled)
+
+
+def test_elimination_rows_over_params_are_monic():
+    rng = random.Random(2009)
+    ctx = VarContext(("x",), ("a", "b"))
+    a, b, one = ctx.coefficient("a"), ctx.coefficient("b"), ctx.coefficient(1)
+    choices = (a, b, a + one, a * b, a - b, one * 2, one * -3, one / a, b / (a + one))
+    relations = 0
+    for _ in range(5):
+        vectors = span_draws(rng, lambda: rng.choice(choices), 4, 6)
+        rows, field_rows = [], []
+        for i, vector in enumerate(vectors):
+            relation = _eliminate(rows, dict(vector), {i: one})
+            expected = field_eliminate(field_rows, dict(vector), {i: one})
+            assert (relation is None) == (expected is None)
+            if relation is not None:
+                relations += 1
+                assert proportional(relation, expected)
+            for pivot, lead, row, _ in rows:
+                assert lead == 1 and row[pivot] == one
+            assert_rows_are_their_combinations(rows, vectors)
+    assert relations >= 10, relations
