@@ -19,6 +19,7 @@ parse or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -316,10 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# run_command's parser, built once: parsing leaves a parser unchanged
+_command_parser = functools.cache(build_parser)
+
+
 def run_command(argv) -> int:
     """Parse ``argv`` and run one command; 0 on success, 1 on any input error."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _command_parser().parse_args(argv)
     try:
         return args.run(args)
     except (ParseError, ValueError, ZeroDivisionError, OSError) as error:

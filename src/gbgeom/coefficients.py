@@ -423,7 +423,7 @@ class ParamFraction:
             return self
         if not self.f:
             return other
-        # s1*f1/g1 + s2*f2/g2 = scale * (n1*e2 + n2*e1) / (e1*g2) for the cofactors
+        # s1*f1/g1 + s2*f2/g2 = scale * (n1*e2 + n2*e1) / (e1*e2*h) for the cofactors
         # e1, e2 of h = gcd(g1, g2) and the integers n1, n2 of s1, s2 over scale
         if self.g == other.g:
             h = self.g
@@ -437,11 +437,12 @@ class ParamFraction:
         if not num:
             return ParamFraction.zero(self.params)
         content = math.gcd(*num.values())
-        num, den = _quo_int(num, content), _mul_add({}, e1, other.g)
+        num = _quo_int(num, content)
         if not is_constant(h):
-            # the sum can share only factors of h with the lcm of the denominators
-            _, num, den = gcd(num, den)
-        return _canonical(self.params, scale * content, num, den)
+            # Henrici's rule: num is coprime to e1 (f1 and e2 are) and to e2, so
+            # it can share factors only with h, and gcd(num, h) is all that cancels
+            _, num, h = gcd(num, h)
+        return _canonical(self.params, scale * content, num, _mul_add({}, _mul_add({}, e1, e2), h))
 
     def __radd__(self, other) -> "ParamFraction":
         return self.__add__(other)

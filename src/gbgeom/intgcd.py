@@ -6,18 +6,20 @@ terms into such a dict and the rational it was scaled by.  ``gcd`` takes two
 primitive polynomials and returns their gcd, primitive with a positive
 leading coefficient, together with both cofactors, so a caller that cancels
 the gcd divides nothing again.  Every answer is proven: after the zero,
-constant and monomial shortcuts, ``coprime`` proves most pairs coprime from
-modular images; the heuristic gcd GCDHEU (``common_divisor``) finds a common
-divisor and its cofactors, which counts when a cofactor is constant or
-``coprime`` proves the cofactors coprime; anything else runs the primitive
-remainder sequence over Z.
+constant and monomial shortcuts, ``_divisor_gcd`` settles the pairs in which
+one input divides the other with one exact division, tried only when the
+degrees and term counts allow it and the values at a fixed point divide;
+``coprime`` proves most other pairs coprime from modular images; the
+heuristic gcd GCDHEU (``common_divisor``) finds a common divisor and its
+cofactors, which counts when a cofactor is constant or ``coprime`` proves the
+cofactors coprime; anything else runs the primitive remainder sequence over Z.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, le, sub
 
 # The coprimality proof (Brown, J. ACM 18, 1971).  Map p and q to Z_P[t] for
 # one parameter t, with every other parameter at a fixed point.  When neither
@@ -270,6 +272,44 @@ def _remainder_sequence(f: dict, g: dict) -> dict:
     return _primitive(_mul_add({}, gcd(*contents)[0], f))
 
 
+# The divisibility shortcut.  Often one input already divides the other, and
+# one exact division proves it.  It is tried only when the degree bounds and
+# the term counts allow it, and only after the values of both inputs at the
+# fixed point divide as integers, as they must when the polynomials do.
+
+
+def _value(f: dict) -> int:
+    """f at the fixed point."""
+    values = [point_value(j) for j in range(len(next(iter(f))))]
+    total = 0
+    for exps, c in f.items():
+        for v, e in zip(values, exps):
+            if e:
+                c *= v**e
+        total += c
+    return total
+
+
+def _divisor_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
+    """``gcd`` when one input divides the other, else None."""
+    df, dg = _degrees(f), _degrees(g)
+    swapped = not (len(f) <= len(g) and all(map(le, df, dg)))
+    if swapped:
+        if not (len(g) <= len(f) and all(map(le, dg, df))):
+            return None
+        f, g = g, f
+    d, m = _value(f), _value(g)
+    if (m % d if d else m) or (quotient := _exact_quotient(g, f)) is None:
+        return None
+    # the gcd is the divisor made primitive and positive; its content and
+    # sign move to both cofactors
+    content = math.gcd(*f.values()) * (1 if f[max(f)] > 0 else -1)
+    h, unit = _quo_int(f, content), {(0,) * len(df): content}
+    if content != 1:
+        quotient = {e: c * content for e, c in quotient.items()}
+    return (h, quotient, unit) if swapped else (h, unit, quotient)
+
+
 def gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
     """(h, f / h, g / h) for the gcd h of primitive f and g over Z.
 
@@ -283,6 +323,8 @@ def gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
     elif len(f) == 1 or len(g) == 1:
         # a constant or a monomial: the gcd is the monomial of the least exponents
         h = {tuple(map(min, *f, *g)): 1}
+    elif (found := _divisor_gcd(f, g)) is not None:
+        return found
     elif coprime(f, g):
         h = {(0,) * len(next(iter(f))): 1}
     else:

@@ -2,8 +2,9 @@
 
 Collects the acceptance-suite outcomes and prints one line per criterion at
 the end of the run, so the pinned regression set is auditable at a glance.
-The ``remainder_sequence`` fixture turns the heuristic gcd off, so the gcd
-tests that take it reach the remainder sequence over Z.
+The ``remainder_sequence`` fixture turns the divisibility shortcut and the
+heuristic gcd off, so the gcd tests that take it reach the remainder sequence
+over Z.
 """
 
 import pytest
@@ -46,4 +47,5 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def remainder_sequence(monkeypatch):
     """Every parameter gcd the coprimality proof leaves open runs the remainder sequence."""
+    monkeypatch.setattr(intgcd, "_divisor_gcd", lambda f, g: None)
     monkeypatch.setattr(intgcd, "_heuristic_gcd", lambda f, g: None)

@@ -1,11 +1,13 @@
 """Command-line behavior: outputs, JSON schema, exit codes, determinism."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from gbgeom.cli import main, run_command
+from gbgeom import cli
+from gbgeom.cli import build_parser, main, run_command
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PARABOLOID = str(FIXTURES / "paraboloid_cylinder.sys")
@@ -281,3 +283,26 @@ def test_usage_errors_exit_one(capsys):
 def test_main_accepts_explicit_argv(capsys):
     assert main(["planar", CURVE]) == 0
     assert capsys.readouterr().out == "x + y + z - 4 = 0\n"
+
+
+def _defaults(parser):
+    """The defaults of a parser, of its actions and of its subparsers, in order."""
+    out = [parser._defaults]
+    for action in parser._actions:
+        out.append((action.dest, action.default))
+        if isinstance(action, argparse._SubParsersAction):
+            out += [(name, _defaults(sub)) for name, sub in action.choices.items()]
+    return out
+
+
+def test_run_command_reuses_one_parser(capsys):
+    command = ["basis", "--vars", "x y", "--poly", "x^2 - y", "--poly", "y - 1"]
+    with pytest.raises(SystemExit) as info:
+        run_command(["basis", "--vars", "x", "--poly", "x", "--order", "grevlex"])
+    assert info.value.code == 1
+    capsys.readouterr()
+    outputs = [run(capsys, *command) for _ in range(2)]
+    assert outputs[0] == outputs[1] == (0, "x^2 - 1\ny - 1\n", "")
+    assert cli._command_parser() is cli._command_parser()
+    # no parse left a value behind: --poly appends to a list of its own each time
+    assert _defaults(cli._command_parser()) == _defaults(build_parser())

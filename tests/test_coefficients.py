@@ -234,21 +234,32 @@ def test_heuristic_gcd_of_hand_made_inputs(name):
     assert h == integer_part(g)
 
 
-@pytest.mark.parametrize("route", ["heuristic", "remainder sequence"])
-@pytest.mark.parametrize("name", sorted(HAND_MADE_GCDS))
-def test_param_poly_gcd_of_hand_made_inputs(name, route, request):
-    if route == "remainder sequence":
+# "divisibility" is the whole gcd, whose shortcut takes every pair in which
+# one input divides the other; "heuristic" turns the shortcut off, so GCDHEU
+# takes those pairs too; "remainder sequence" turns both off.
+GCD_ROUTES = ["divisibility", "heuristic", "remainder sequence"]
+
+
+def take_route(route, request, monkeypatch):
+    if route == "heuristic":
+        monkeypatch.setattr(intgcd, "_divisor_gcd", lambda f, g: None)
+    elif route == "remainder sequence":
         request.getfixturevalue("remainder_sequence")
+
+
+@pytest.mark.parametrize("route", GCD_ROUTES)
+@pytest.mark.parametrize("name", sorted(HAND_MADE_GCDS))
+def test_param_poly_gcd_of_hand_made_inputs(name, route, request, monkeypatch):
+    take_route(route, request, monkeypatch)
     g, cp, cq = HAND_MADE_GCDS[name]
     gcd = param_poly_gcd(g * cp, g * cq)
     assert integer_primitive(gcd.terms)[0] == 1 and gcd.leading_coefficient() > 0
     assert same_up_to_a_unit(gcd, g)
 
 
-@pytest.mark.parametrize("route", ["heuristic", "remainder sequence"])
-def test_gcd_returns_primitive_gcd_and_cofactors(route, request):
-    if route == "remainder sequence":
-        request.getfixturevalue("remainder_sequence")
+@pytest.mark.parametrize("route", GCD_ROUTES)
+def test_gcd_returns_primitive_gcd_and_cofactors(route, request, monkeypatch):
+    take_route(route, request, monkeypatch)
     pairs = [(g * cp, g * cq) for g, cp, cq in HAND_MADE_GCDS.values()]
     pairs += [oracle_gcd_pair(seed) for seed in range(30)]
     for p, q in pairs:
@@ -278,6 +289,73 @@ def test_heuristic_gcd_needs_coprime_cofactors(monkeypatch):
             assert proven is None
         else:
             assert proven[0] == integer_part(expected)
+
+
+# The divisibility shortcut: one input divides the other.
+_divisor_gcd = intgcd._divisor_gcd
+
+
+def random_integer_poly(rng, params=AB):
+    """A seeded integer polynomial with two to four terms, so no monomial shortcut takes it."""
+    while True:
+        p = integer_part(random_nonzero_param_poly(rng, params, max_terms=4, max_degree=2))
+        if len(p) > 1:
+            return p
+
+
+def times(f, c):
+    return {e: v * c for e, v in f.items()}
+
+
+def product(f, g):
+    return intgcd._mul_add({}, f, g)
+
+
+def test_divisibility_shortcut_matches_the_remainder_sequence(remainder_sequence):
+    rng = random.Random(16)
+    cases = []
+    while len(cases) < 120:
+        g, k = random_integer_poly(rng), random_integer_poly(rng)
+        if len(product(g, k)) < len(g):
+            continue  # the shortcut tries no divisor with more terms
+        content, sign = rng.choice([1, 2, 6]), rng.choice([1, -1])
+        # a divisor with a negative lead or integer content, in both orders
+        divisor, multiple = times(g, sign * content), times(product(g, k), content)
+        cases += [
+            (divisor, multiple),
+            (times(multiple, -rng.randint(1, 4)), divisor),
+            # a unit cofactor: the inputs are equal up to sign
+            (g, times(g, -1)),
+        ]
+    for f, g in cases:
+        found = _divisor_gcd(f, g)
+        assert found is not None
+        # with the fixture on, gcd runs the remainder sequence
+        assert found == intgcd.gcd(f, g)
+        h = found[0]
+        assert math.gcd(*h.values()) == 1 and h[max(h)] > 0
+
+
+def test_divisibility_shortcut_rejects_by_the_value_at_the_point(monkeypatch):
+    divisions = []
+    monkeypatch.setattr(
+        intgcd, "_exact_quotient", lambda f, h: divisions.append((f, h)) or None
+    )
+    # the degree bounds allow a + 1 to divide a^2 + 2, but VA^2 + 2 leaves
+    # the remainder 3 on division by VA + 1
+    assert _divisor_gcd(integer_part(A + 1), integer_part(A * A + 2)) is None
+    # a - VA vanishes at the point, and a^2 + 1 does not
+    assert _divisor_gcd(integer_part(A - VA), integer_part(A * A + 1)) is None
+    assert divisions == []
+
+
+def test_divisibility_shortcut_when_the_value_at_the_point_is_zero():
+    divisor = integer_part(A - VA)
+    # both vanish at the point, so only the exact division decides
+    assert _divisor_gcd(divisor, integer_part(A * B - VA * VB)) is None
+    multiple = integer_part((A - VA) * (B + 2))
+    assert _divisor_gcd(divisor, multiple) == (divisor, {(0, 0): 1}, integer_part(B + 2))
+    assert _divisor_gcd(multiple, divisor) == (divisor, integer_part(B + 2), {(0, 0): 1})
 
 
 def test_param_poly_lcm():
@@ -340,6 +418,32 @@ def test_param_fraction_addition_over_common_denominator():
     assert a + (-a) == ParamFraction.zero(AB)
     assert a + 1 == ParamFraction(A + ONE)
     assert 1 + a == a + 1
+
+
+def test_param_fraction_sum_matches_the_cross_multiplied_fraction():
+    rng = random.Random(1956)
+
+    def part():
+        return random_nonzero_param_poly(rng, AB, max_terms=3)
+
+    pairs = []
+    for _ in range(30):
+        shared, e1, e2, n1, n2 = part(), part(), part(), part(), part()
+        first = ParamFraction(n1, shared * e1)
+        pairs += [
+            (first, ParamFraction(n2, shared * e2)),
+            # equal denominators, and a numerator sum that shares a factor with them
+            (first, ParamFraction(n2, shared * e1)),
+            (first, ParamFraction(shared * n2 - n1, shared * e1)),
+            (first, -first),
+        ]
+    for a, b in pairs:
+        total = a + b
+        cross = normalize_fraction(a.num * b.den + b.num * a.den, a.den * b.den)
+        assert (total.params, total.scale, total.f, total.g) == (
+            cross.params, cross.scale, cross.f, cross.g
+        )
+    assert any(not (a + b) for a, b in pairs)
 
 
 def test_param_fraction_multiplication_cross_cancels():
