@@ -8,13 +8,26 @@ leading monomial, and f = sum(quotient_i * divisor_i) + remainder holds
 exactly.
 
 The dividend is reduced in place: a ``{key: coefficient}`` dict holds its
-terms and a heap holds their keys, where a term's key is its context's heap
-key (``VarContext._key``): the negated exponent tuple under lex, so the
-smallest key is the highest term.  A term that cancels leaves its key in the
-heap; the stale entry is skipped when it comes up.  Public contexts are lex;
-the same loop serves the graded reverse lex context of ``groebner``'s
-zero-dimensional route, and ``groebner.buchberger`` fills the work dict with
-an S-polynomial directly.
+terms and a heap holds their keys, where a term's key is one int, its
+context's key (``VarContext._key``): a linear map of the exponents whose
+smallest key is the highest term, so a tail product's key is a sum.  A term
+that cancels leaves its key in the heap; the stale entry is skipped when it
+comes up.  Public contexts are lex; the same loop serves the graded reverse
+lex context of ``groebner``'s zero-dimensional route, and
+``groebner.buchberger`` fills the work dict with an S-polynomial directly.
+
+The low bits of a key pack the exponents into fields of ``_WIDTH`` bits
+whose top bit, the guard bit, is clear, so one subtraction and one mask
+decide divisibility (``_reduce``).  Exponents stay below
+``VarContext._LIMIT`` = 2 ** (_WIDTH - 1): ``_key`` refuses larger ones, and
+the kernel catches a product that reaches the limit.  Every key that enters
+a work dict is a checked key plus a checked offset: a tail term's key minus
+its lead's, added to the key of a term that lead divides, or FGLM's step by
+one variable.  So every field of a product stays below 2 ** _WIDTH and never
+carries into the next one, an exponent over the limit always sets its guard
+bit, and the kernel, which tests the guard bits of each term it takes,
+raises ``ValueError`` naming the limit.  The map is one to one on such
+fields, so an overflowed term can never merge with a valid one.
 
 Over Q the reduction is fraction-free (Becker and Weispfenning, *Groebner
 Bases*, 1993): the work dict holds the integers of d * f for the least common
@@ -39,10 +52,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 from typing import Iterable, Sequence
 
-from .polynomials import Polynomial, Term
+from .polynomials import Polynomial, Term, VarContext
 
 
 @dataclass(frozen=True)
@@ -65,17 +77,17 @@ def _table(g: Polynomial) -> tuple:
 
     Over Q the multiple is g's primitive integer multiple, whose lead l is a
     positive integer; over Q(params) it is g divided by its leading
-    coefficient, and l is 1.  The tail holds (key(m) - key(lead), coefficient)
-    for each tail term m: a tail product's key is then the key of the term
-    being eliminated plus that offset, and the leading term is never
-    multiplied out, since it cancels exactly.
+    coefficient, and l is 1.  The bound is R(lead), the lead's packed
+    exponents.  The tail holds (key(m) - key(lead), coefficient) for each
+    tail term m: a tail product's key is then the key of the term being
+    eliminated plus that offset, and the leading term is never multiplied
+    out, since it cancels exactly.
     """
     table = g._table
     if table is None:
         context = g.context
         key = context._key
-        lead_monomial = g.terms[0].monomial
-        lead_key = key(lead_monomial)
+        lead_key = key(g.terms[0].monomial)
         coefficients = [c for c, _ in g.terms]
         if context.parameters:
             lc, lead = coefficients.pop(0), 1
@@ -87,11 +99,8 @@ def _table(g: Polynomial) -> tuple:
             integers = [c.numerator * (d // c.denominator) for c in coefficients]
             content = math.gcd(*integers) if integers[0] > 0 else -math.gcd(*integers)
             lead, *coefficients = (c // content for c in integers)
-        tail = tuple(
-            (tuple(map(sub, key(m), lead_key)), c)
-            for c, (_, m) in zip(coefficients, g.terms[1:])
-        )
-        table = g._table = (context._bound(lead_monomial), lead, tail)
+        tail = tuple((key(m) - lead_key, c) for c, (_, m) in zip(coefficients, g.terms[1:]))
+        table = g._table = (lead_key & context._masks[0], lead, tail)
     return table
 
 
@@ -106,16 +115,23 @@ def _tables(f: Polynomial, divisors: Sequence[Polynomial]) -> list[tuple]:
     return tables
 
 
-def _reduce(work: dict, tables: Sequence[tuple], covers, quotients=None) -> tuple[list[tuple], int]:
+def _reduce(work: dict, tables: Sequence[tuple], masks, quotients=None) -> tuple[list[tuple], int]:
     """Reduce the ``{key: coefficient}`` dict work, consuming it; returns (remainder, multiplier).
 
     The remainder is a list of (key, coefficient), highest term first, of
     multiplier times the work dict's value modulo the divisors.  With
     quotients, the (key, factor) of each elimination by divisor i goes to
     quotients[i], on the same scale: multiplier * work = sum of quotient_i
-    times divisor i's table multiple, plus the remainder.  covers is the
-    context's ``_covers``.
+    times divisor i's table multiple, plus the remainder.
+
+    masks is the context's (mask, guard): ``key & mask`` is a term's packed
+    exponents d, and guard holds each field's top bit.  A set guard bit in d
+    is an exponent over the limit, and raises.  Otherwise the fields of
+    d | guard minus a divisor's bound never borrow from each other, and
+    every guard bit survives exactly when the divisor's lead divides the
+    term.
     """
+    mask, guard = masks
     heap = list(work)
     heapq.heapify(heap)
     remainder = []
@@ -125,8 +141,12 @@ def _reduce(work: dict, tables: Sequence[tuple], covers, quotients=None) -> tupl
         coeff = work.pop(key, None)
         if coeff is None:
             continue
+        d = key & mask
+        if d & guard:
+            raise ValueError(f"exponent over the limit {VarContext._LIMIT - 1}")
+        d |= guard
         for i, (bound, lead, tail) in enumerate(tables):
-            if all(map(covers, key, bound)):  # the leading monomial divides this one
+            if (d - bound) & guard == guard:  # the leading monomial divides this one
                 if lead != 1:
                     common = math.gcd(coeff, lead)
                     if common != lead:
@@ -142,7 +162,7 @@ def _reduce(work: dict, tables: Sequence[tuple], covers, quotients=None) -> tupl
                     quotients[i].append((key, coeff))
                 factor = -coeff
                 for offset, c in tail:
-                    k = tuple(map(add, key, offset))
+                    k = key + offset
                     prev = work.get(k)
                     if prev is None:
                         work[k] = factor * c
@@ -212,7 +232,7 @@ def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> Divisi
     tables = _tables(f, divisors)
     work, d = _work(context, _keyed(f))
     quotients: list[list[tuple]] = [[] for _ in divisors]
-    remainder, multiplier = _reduce(work, tables, context._covers, quotients)
+    remainder, multiplier = _reduce(work, tables, context._masks, quotients)
     d *= multiplier
     # Divisor g entered as l / lc(g) times g, so its quotient is the recorded one
     # times l / lc(g) / d.  A quotient term's key is the eliminated term's key
@@ -221,7 +241,7 @@ def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> Divisi
     exact = []
     for q, g, (_, lead, _) in zip(quotients, divisors, tables):
         lead_key = key(g.terms[0].monomial)
-        shifted = ((tuple(map(sub, k, lead_key)), c) for k, c in q)
+        shifted = ((k - lead_key, c) for k, c in q)
         scale = g.terms[0].coefficient * Fraction(d, lead)
         exact.append(_polynomial(context, _divided(context, shifted, scale)))
     return DivisionResult(
@@ -239,5 +259,5 @@ def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     context = f.context
     tables = _tables(f, elements)
     work, d = _work(context, _keyed(f))
-    remainder, multiplier = _reduce(work, tables, context._covers)
+    remainder, multiplier = _reduce(work, tables, context._masks)
     return _polynomial(context, _divided(context, remainder, d * multiplier))

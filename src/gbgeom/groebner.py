@@ -48,9 +48,12 @@ one order, replaces the generators of the lex pair loop.  By Krull's height
 theorem a proper ideal with fewer generators than variables is never
 zero-dimensional, so those go straight to lex.
 
-A monomial is an exponent tuple: an lcm is ``map(max, ...)``, two monomials
-are coprime when ``map(min, ...)`` is all zero, and ``_divides`` is
-``map(le, ...)``.
+The pair loop keeps monomials as exponent tuples: an lcm is
+``map(max, ...)``, two monomials are coprime when ``map(min, ...)`` is all
+zero, and ``_divides`` is ``map(le, ...)``.  Only the division kernel and
+FGLM's normal forms live in division's key space of packed ints
+(``VarContext._key``); an S-polynomial's lcm enters it as one key, and each
+tail term as that key plus its offset.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from operator import add, le
+from operator import le
 from typing import Iterable
 
 from .coefficients import _collect, _lex_sorted
@@ -143,14 +146,8 @@ def _s_work(context: VarContext, left: tuple, right: tuple, lcm) -> dict:
     _, other, other_tail = right
     common = math.gcd(lead, other)
     u, v = other // common, lead // common
-    work = {
-        tuple(map(add, lcm_key, offset)): c if u == 1 else c * u
-        for offset, c in tail
-    }
-    shifted = (
-        (tuple(map(add, lcm_key, offset)), -c if v == 1 else c * -v)
-        for offset, c in other_tail
-    )
+    work = {lcm_key + offset: c if u == 1 else c * u for offset, c in tail}
+    shifted = ((lcm_key + offset, -c if v == 1 else c * -v) for offset, c in other_tail)
     return _collect(shifted, work)
 
 
@@ -159,7 +156,7 @@ def _s_remainder(context: VarContext, tables: list[tuple], i: int, j: int, lcm) 
 
     It is division's (key, coefficient) list, highest term first.
     """
-    return _reduce(_s_work(context, tables[i], tables[j], lcm), tables, context._covers)[0]
+    return _reduce(_s_work(context, tables[i], tables[j], lcm), tables, context._masks)[0]
 
 
 def _nonzero(generators: Iterable[Polynomial]) -> list[Polynomial]:
@@ -244,8 +241,8 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     return GroebnerBasis(tuple(basis), reduced=False, stats=stats)
 
 
-def _lead_key(p: Polynomial) -> tuple[int, ...]:
-    """The heap key of p's leading monomial: the smallest key is the highest lead."""
+def _lead_key(p: Polynomial) -> int:
+    """The key of p's leading monomial: the smallest key is the highest lead."""
     return p.context._key(p.terms[0].monomial)
 
 
@@ -275,7 +272,7 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     tables: list[tuple] = []
     for g in reversed(minimalize(basis).elements):
         context = g.context
-        remainder, _ = _reduce(_work(context, _keyed(g))[0], tables, context._covers)
+        remainder, _ = _reduce(_work(context, _keyed(g))[0], tables, context._masks)
         if not remainder:
             raise ValueError("minimal basis element reduced to zero")
         reduced = _monic(context, remainder)
@@ -383,7 +380,7 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
     """
     order = basis.context
     tables = [_table(g) for g in basis]
-    covers, key = order._covers, order._key
+    masks, key = order._masks, order._key
     n = len(context.variables)
     steps = [key(tuple(int(i == j) for j in range(n))) for i in range(n)]
     one = context.coefficient(1) if context.parameters else 1
@@ -400,8 +397,8 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
             work, d = {key(monomial): one}, one
         else:
             form, d = normal[parent]
-            work = {tuple(map(add, k, steps[i])): c for k, c in form.items()}
-        remainder, multiplier = _reduce(work, tables, covers)
+            work = {k + steps[i]: c for k, c in form.items()}
+        remainder, multiplier = _reduce(work, tables, masks)
         form = dict(remainder)
         if multiplier != 1 or d != 1:
             d *= multiplier

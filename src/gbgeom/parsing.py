@@ -65,6 +65,9 @@ _END = "end"
 # Deepest parenthesis nesting accepted; each level costs four stack frames.
 MAX_NESTING = 100
 # Largest exponent accepted after '^'; the power is computed only below it.
+# Nested powers go further, ``((x^1000)^1000)^1000`` is x^(10^9), but
+# division holds exponents only below ``VarContext._LIMIT`` = 2 ** 31 and
+# raises ``ValueError`` naming that limit past it.
 MAX_EXPONENT = 1000
 # Largest term-count bound accepted for a product or a power, checked before
 # it is computed; see ``_size``.

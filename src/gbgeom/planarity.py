@@ -144,7 +144,7 @@ def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
     if any(g.is_constant() for g in basis.elements):
         return PlaneDetection("empty-variety", None)
     tables = [_table(g) for g in basis]
-    key, covers = context._key, context._covers
+    key, masks = context._key, context._masks
     columns = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
     zero = context.coefficient(0)
     one = context.coefficient(1) if context.parameters else 1
@@ -152,7 +152,7 @@ def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
     planes = []
     for i, column in enumerate(columns):
         # multiplier times NF(column), on integers over Q
-        remainder, multiplier = _reduce({key(column): one}, tables, covers)
+        remainder, multiplier = _reduce({key(column): one}, tables, masks)
         relation = _eliminate(rows, dict(remainder), {i: one * multiplier})
         if relation is None:
             continue

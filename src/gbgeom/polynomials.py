@@ -6,12 +6,14 @@ its terms sorted descending under its context's term order, which makes
 leading parts O(1) and keeps every printed form deterministic.  A monomial is
 its exponent tuple, the form the sparse core in ``coefficients`` works on.
 Every context the public API builds orders terms by lex, the order of those
-tuples.  The term order belongs to the context: ``_Grevlex`` is the same
-variables under graded reverse lex, a different context that only
-``groebner`` builds for its zero-dimensional route, so ``_check`` refuses to
-mix the two.  ``Polynomial``, ``from_terms`` and ``coefficient_of`` take
-exponents from outside and check that each is a non-negative integer of the
-right count; every other monomial is made from checked ones.
+tuples; division compares and shifts monomials as packed int keys that each
+context defines (``VarContext._key``).  The term order belongs to the
+context: ``_Grevlex`` is the same variables under graded reverse lex, a
+different context that only ``groebner`` builds for its zero-dimensional
+route, so ``_check`` refuses to mix the two.  ``Polynomial``, ``from_terms``
+and ``coefficient_of`` take exponents from outside and check that each is a
+non-negative integer of the right count; every other monomial is made from
+checked ones.
 
 ``render`` prints a polynomial in one of two deterministic text forms that
 parse back to it, so regression artifacts can be pinned as text: ``monic``
@@ -21,10 +23,10 @@ away and normalizes the integer content instead.
 
 from __future__ import annotations
 
-import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge, le, neg
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .coefficients import (
@@ -106,22 +108,52 @@ class VarContext:
     def one(self) -> "Polynomial":
         return self.constant(1)
 
-    # The term order.  ``_key`` maps a monomial to its heap key, a linear map
-    # whose smallest key is the highest term, so a product's key is the sum
-    # of its factors' keys; ``_monomial`` inverts it, and ``_sorted`` lists a
-    # collected dict highest term first.  A monomial u divides the monomial
-    # with key k when ``all(map(_covers, k, _bound(u)))``.  Lex: the negated
-    # exponent tuple.
+    # The term order, and division's key space.  ``_key`` maps a monomial to
+    # one int, its key, by a linear map whose smallest key is the highest
+    # term: a product's key is the sum of its factors' keys, so every shift in
+    # key space is one addition.  Each exponent gets a field of ``_WIDTH``
+    # bits whose top bit, the guard bit, stays clear, so ``_key`` refuses an
+    # exponent of ``_LIMIT`` = 2 ** (_WIDTH - 1) or more.  The low n * _WIDTH
+    # bits of a key hold the packed exponents R(e) and ``key & mask`` gives
+    # R(e) back; ``_monomial`` unpacks it.  Under lex the first variable is
+    # the most significant field, and the key is R(e) - (R(e) << n * _WIDTH).
+    # A monomial u divides the one with packed exponents d (guard bits
+    # clear) exactly when ((d | guard) - R(u)) & guard == guard: no field
+    # borrows from the next, and each keeps its guard bit where its exponent
+    # is at least u's.  ``_sorted`` lists a collected dict highest term first.
 
+    _WIDTH = 32  # bits per exponent field, packed as struct's "i"
+    _LIMIT = 1 << _WIDTH - 1
+    _BYTEORDER = "big"  # the first variable is the most significant field
     _sorted = staticmethod(_lex_sorted)
-    _covers = staticmethod(le)
 
-    @staticmethod
-    def _key(exponents: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(neg, exponents))
+    @cached_property
+    def _struct(self) -> struct.Struct:
+        """R(e)'s bytes: one signed field per variable, so packing refuses the limit."""
+        return struct.Struct(f"{'>' if self._BYTEORDER == 'big' else '<'}{len(self.variables)}i")
 
-    _monomial = _key
-    _bound = _key
+    @cached_property
+    def _masks(self) -> tuple[int, int]:
+        """(mask, guard): ``key & mask`` is R(e), and guard holds every field's top bit."""
+        mask = (1 << len(self.variables) * self._WIDTH) - 1
+        return mask, mask // ((1 << self._WIDTH) - 1) << self._WIDTH - 1
+
+    def _packed(self, exponents: tuple[int, ...]) -> int:
+        """R(e); raises ValueError for an exponent at or over the limit."""
+        try:
+            return int.from_bytes(self._struct.pack(*exponents), self._BYTEORDER)
+        except struct.error:
+            raise ValueError(
+                f"exponent {max(exponents)} is over the limit {self._LIMIT - 1}"
+            ) from None
+
+    def _key(self, exponents: tuple[int, ...]) -> int:
+        packed = self._packed(exponents)
+        return packed - (packed << len(self.variables) * self._WIDTH)
+
+    def _monomial(self, key: int) -> tuple[int, ...]:
+        layout = self._struct
+        return layout.unpack((key & self._masks[0]).to_bytes(layout.size, self._BYTEORDER))
 
 
 @dataclass(frozen=True)
@@ -129,28 +161,18 @@ class _Grevlex(VarContext):
     """The same variables under graded reverse lex; unequal to the lex context.
 
     Higher total degree ranks higher; within a degree, the smaller exponent
-    of the last variable where two monomials differ.  The heap key is
-    ``(-degree, e_n, ..., e_1)``; a divisor's bound starts with minus
-    infinity, so only the exponents are compared.
+    of the last variable where two monomials differ.  The last variable is
+    the most significant field of R(e), and the key is
+    R(e) - (deg(e) << n * _WIDTH): the degree ranks first, then R(e).
     """
 
-    _covers = staticmethod(ge)
+    _BYTEORDER = "little"  # the last variable is the most significant field
 
-    @staticmethod
-    def _key(exponents: tuple[int, ...]) -> tuple[int, ...]:
-        return (-sum(exponents), *reversed(exponents))
+    def _key(self, exponents: tuple[int, ...]) -> int:
+        return self._packed(exponents) - (sum(exponents) << len(self.variables) * self._WIDTH)
 
-    @staticmethod
-    def _monomial(key: tuple[int, ...]) -> tuple[int, ...]:
-        return key[:0:-1]
-
-    @staticmethod
-    def _bound(exponents: tuple[int, ...]) -> tuple:
-        return (-math.inf, *reversed(exponents))
-
-    @classmethod
-    def _sorted(cls, acc: dict) -> tuple:
-        key = cls._key
+    def _sorted(self, acc: dict) -> tuple:
+        key = self._key
         return tuple(sorted(acc.items(), key=lambda pair: key(pair[0])))
 
 

@@ -220,6 +220,17 @@ def test_huge_exponent_exits_one(capsys):
     assert "column 9: exponent too large" in err
 
 
+def test_exponent_over_division_limit_exits_one(capsys):
+    # nested powers stay within the parser's bounds but pass division's limit
+    # of 2^31 - 1 per exponent; the answer is refused, not computed wrongly
+    power = "(((x^1000)^1000)^1000)^3"
+    code, out, err = run(capsys, "basis", "--vars", "x,y", "--poly", f"{power} - y", "--poly", "y - 1")
+    assert code == 1
+    assert out == ""
+    assert "exponent 3000000000 is over the limit 2147483647" in err
+    assert "Traceback" not in err
+
+
 def test_oversized_power_exits_one(capsys):
     code, out, err = run(capsys, "basis", "--vars", "x,y,z", "--poly", "(x+y+z+1)^1000")
     assert code == 1

@@ -80,6 +80,29 @@ def test_division_rejects_degenerate_divisors():
         multivariate_divide(X, [CTX.zero()])
 
 
+def test_an_exponent_over_the_key_limit_is_refused_not_wrapped():
+    # keys pack each exponent into a field of VarContext._WIDTH bits whose top
+    # bit stays clear, so exponents stop at _LIMIT - 1 = 2 ** (_WIDTH - 1) - 1
+    limit = VarContext._LIMIT
+    assert limit == 2 ** (VarContext._WIDTH - 1)
+    message = f"limit {limit - 1}"
+    # the product x * y^(limit/2) -> y^limit overflows inside the kernel
+    with pytest.raises(ValueError, match=message):
+        normal_form(X * X, [X - Y ** (limit // 2)])
+    with pytest.raises(ValueError, match=message):
+        multivariate_divide(X * X, [X - Y ** (limit // 2)])
+    # an input exponent at the limit is refused before any reduction
+    with pytest.raises(ValueError, match=message):
+        normal_form(Y ** limit, [X])
+    with pytest.raises(ValueError, match=message):
+        normal_form(X, [Y ** limit])
+    # the largest allowed exponent still divides and is divided exactly
+    top = Y ** (limit - 1)
+    assert normal_form(top, [X]) == top
+    assert not normal_form(top * X, [top])
+    assert multivariate_divide(top * X, [X]).quotients == (top,)
+
+
 def test_division_with_parametric_coefficients():
     ctx = VarContext(("x", "y"), ("a",))
     x, y = ctx.variable("x"), ctx.variable("y")

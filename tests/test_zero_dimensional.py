@@ -4,8 +4,8 @@
 generators as variables by a grevlex basis converted to lex by FGLM.  These
 tests check the route's answer by certificate and against the lex pair loop,
 check which inputs take the route, and pin the private grevlex context, the
-reducer tables the fused S-pair kernel reads and the rows of the
-elimination kernel FGLM and plane detection share.
+packed int keys of both orders, the reducer tables the fused S-pair kernel
+reads and the rows of the elimination kernel FGLM and plane detection share.
 """
 
 import math
@@ -16,9 +16,9 @@ from itertools import product
 import pytest
 
 from gbgeom import conic_constraints, groebner, parse_expression
-from gbgeom.division import _table, _work, normal_form
+from gbgeom.division import _table, _work, multivariate_divide, normal_form
 from gbgeom.groebner import _eliminate, buchberger, is_groebner, reduce_basis, reduced_basis
-from gbgeom.polynomials import VarContext, _Grevlex
+from gbgeom.polynomials import Polynomial, VarContext, _Grevlex
 
 from support import cyclic, katsura, parsed, random_fraction, stress_system, systems
 
@@ -182,16 +182,54 @@ def test_grevlex_is_a_private_context_of_its_own():
         normal_form(lex.variable("x"), [x])
 
 
-def test_grevlex_heap_key_is_linear_and_inverts():
-    order = _Grevlex(("x", "y", "z"))
-    for u, v in [((1, 0, 2), (0, 3, 1)), ((2, 2, 0), (0, 0, 0))]:
-        w = tuple(a + b for a, b in zip(u, v))
-        assert order._key(w) == tuple(a + b for a, b in zip(order._key(u), order._key(v)))
-        assert order._monomial(order._key(u)) == u
-        # the smallest key is the highest term: higher degree, then the
-        # smaller exponent of the last variable where the two differ
-        higher = sum(u) > sum(v) or (sum(u) == sum(v) and u[::-1] < v[::-1])
-        assert (order._key(u) < order._key(v)) == higher
+def tuple_key(order, exponents):
+    """The order as a tuple key, the smallest the highest term: the reference for the int key."""
+    if isinstance(order, _Grevlex):
+        return (-sum(exponents), *reversed(exponents))
+    return tuple(-e for e in exponents)
+
+
+@pytest.mark.parametrize("order", [VarContext(("x", "y", "z")), _Grevlex(("x", "y", "z"))],
+                         ids=["lex", "grevlex"])
+def test_key_is_linear_inverts_and_orders_like_the_tuple_key(order):
+    rng = random.Random(2017)
+    top = order._LIMIT - 1
+    monomials = [(1, 0, 2), (0, 3, 1), (2, 2, 0), (0, 0, 0), (top, 0, top), (0, top, 1)]
+    monomials += [tuple(rng.randrange(5) for _ in range(3)) for _ in range(40)]
+    mask, _ = order._masks
+    width = order._WIDTH
+    # the first variable is the most significant field under lex, the last under grevlex
+    positions = (0, 1, 2) if isinstance(order, _Grevlex) else (2, 1, 0)
+    for u in monomials:
+        key = order._key(u)
+        assert type(key) is int
+        assert key & mask == sum(e << width * p for e, p in zip(u, positions))
+        assert order._monomial(key) == u
+        for v in monomials:
+            w = tuple(a + b for a, b in zip(u, v))
+            if max(w) <= top:
+                assert order._key(w) == key + order._key(v)
+            # the smallest key is the highest term, as with the tuple key
+            assert (key < order._key(v)) == (tuple_key(order, u) < tuple_key(order, v))
+
+
+@pytest.mark.parametrize("order", [VarContext(("x", "y", "z")), _Grevlex(("x", "y", "z"))],
+                         ids=["lex", "grevlex"])
+def test_packed_divisibility_is_componentwise_le(order):
+    # the kernel's guard-bit test decides whether a single-term divisor reduces
+    # a single-term dividend; exponents include 0 and the largest allowed
+    rng = random.Random(1998)
+    top = order._LIMIT - 1
+    values = [0, 1, 2, top - 1, top]
+    for _ in range(400):
+        u, v = (tuple(rng.choice(values) for _ in range(3)) for _ in range(2))
+        divisor = Polynomial.from_terms(order, [(u, 1)])
+        dividend = Polynomial.from_terms(order, [(v, 1)])
+        divides = all(a <= b for a, b in zip(u, v))
+        assert (not normal_form(dividend, [divisor])) == divides, (u, v)
+        if divides:
+            quotient = multivariate_divide(dividend, [divisor]).quotients[0]
+            assert quotient.terms[0].monomial == tuple(b - a for a, b in zip(u, v))
 
 
 def test_reducer_table_is_built_once_integral_over_q_and_monic_over_params():
@@ -203,8 +241,11 @@ def test_reducer_table_is_built_once_integral_over_q_and_monic_over_params():
     # over Q: the primitive integer multiple 3xy + 2, with a positive int lead
     bound, lead, tail = table
     assert type(lead) is int and lead == 3
-    assert tail == (((1, 1), 2),) and type(tail[0][1]) is int
-    assert _table(-g)[1:] == (3, (((1, 1), 2),))
+    # the bound is the lead's packed exponents; a tail offset is an int key difference
+    offset = ctx._key((0, 0)) - ctx._key((1, 1))
+    assert bound == ctx._key((1, 1)) & ctx._masks[0]
+    assert tail == ((offset, 2),) and type(tail[0][0]) is int and type(tail[0][1]) is int
+    assert _table(-g)[1:] == (3, ((offset, 2),))
     # the tables stay outside equality and hashing
     assert g == x * y / 2 + Fraction(1, 3) and hash(g) == hash(x * y / 2 + Fraction(1, 3))
     assert normal_form(x * x * y, [g]) == -Fraction(2, 3) * x
@@ -214,7 +255,7 @@ def test_reducer_table_is_built_once_integral_over_q_and_monic_over_params():
     h = px * py * a + 1
     _, lead, tail = _table(h)
     assert lead == 1
-    assert tail == (((1, 1), 1 / a),)
+    assert tail == ((pctx._key((0, 0)) - pctx._key((1, 1)), 1 / a),)
     assert normal_form(px * px * py, [h]) == -px / a
 
 
