@@ -42,8 +42,19 @@ coefficient once, l is 1, and nothing is ever multiplied.  Either way the
 exact remainder is the returned one divided by d times the multiplier
 (``_divided``).
 
-Each divisor's reducer table is built once, on its first use as a divisor,
-and kept on the polynomial (``_table``).
+Division is also the one place where the kernel's numbers become reducer
+tables, primitive vectors and polynomials.  One builder (``_tabulate``)
+makes a reducer table from (key, coefficient) pairs listed highest term
+first: integers over Q, field elements over Q(params).  A divisor's table
+is built from its terms on its first use as a divisor and kept on the
+polynomial (``_table``).  A remainder that the pair loop, ``reduce_basis``
+or FGLM keeps is made monic from the table of the kernel's own pairs and
+carries it (``_monic``), so its table is never rebuilt from its
+``Fraction``s.  Over Q one content step (``_primitive``) divides integer
+vectors by the gcd of their entries: a table's multiple, FGLM's normal
+forms and the rows of ``groebner._eliminate``.  ``normal_form`` and
+``multivariate_divide`` share one call into the kernel (``_divide``);
+``normal_form`` records no quotients.
 """
 
 from __future__ import annotations
@@ -72,47 +83,54 @@ class DivisionResult:
         return total
 
 
-def _table(g: Polynomial) -> tuple:
-    """g's reducer table: (divisibility bound, lead l, tail) of a multiple of g with lead l.
+def _primitive(sign: int, *vectors: dict) -> tuple[dict, ...]:
+    """The integer vectors divided by sign times the gcd of all their entries.
 
-    Over Q the multiple is g's primitive integer multiple, whose lead l is a
-    positive integer; over Q(params) it is g divided by its leading
-    coefficient, and l is 1.  The bound is R(lead), the lead's packed
-    exponents.  The tail holds (key(m) - key(lead), coefficient) for each
-    tail term m: a tail product's key is then the key of the term being
-    eliminated plus that offset, and the leading term is never multiplied
-    out, since it cancels exactly.
+    sign is 1 or -1.  This is the one content step over Q: of a reducer
+    table (``_tabulate``), of FGLM's normal forms and of the rows of
+    ``groebner._eliminate``.
     """
+    content = 0
+    for vector in vectors:
+        content = math.gcd(content, *vector.values())
+    content *= sign
+    if content in (0, 1):
+        return vectors
+    return tuple({k: c // content for k, c in vector.items()} for vector in vectors)
+
+
+def _tabulate(context, pairs: Sequence[tuple]) -> tuple:
+    """The reducer table of the nonzero (key, coefficient) pairs listed highest term first.
+
+    The table is (divisibility bound, lead l, tail) of a multiple of their
+    polynomial with lead l.  Over Q the coefficients are integers, and the
+    multiple is their primitive vector with a positive lead; over Q(params)
+    they are field elements, the multiple is monic and l is 1.  The bound is
+    R(lead), the lead's packed exponents.  The tail holds
+    (key(m) - key(lead), coefficient) for each tail term m: a tail product's
+    key is then the key of the term being eliminated plus that offset, and
+    the leading term is never multiplied out, since it cancels exactly.
+    """
+    if context.parameters:
+        (lead_key, lc), *tail = pairs
+        lead = 1
+        if lc != 1:
+            inverse = 1 / lc
+            tail = [(k, c * inverse) for k, c in tail]
+    else:
+        (vector,) = _primitive(1 if pairs[0][1] > 0 else -1, dict(pairs))
+        (lead_key, lead), *tail = vector.items()
+    return lead_key & context._masks[0], lead, tuple((k - lead_key, c) for k, c in tail)
+
+
+def _table(g: Polynomial) -> tuple:
+    """g's reducer table (``_tabulate``), built on first use and kept on g."""
     table = g._table
     if table is None:
         context = g.context
-        key = context._key
-        lead_key = key(g.terms[0].monomial)
-        coefficients = [c for c, _ in g.terms]
-        if context.parameters:
-            lc, lead = coefficients.pop(0), 1
-            if lc != 1:
-                inverse = 1 / lc
-                coefficients = [c * inverse for c in coefficients]
-        else:
-            d = math.lcm(*(c.denominator for c in coefficients))
-            integers = [c.numerator * (d // c.denominator) for c in coefficients]
-            content = math.gcd(*integers) if integers[0] > 0 else -math.gcd(*integers)
-            lead, *coefficients = (c // content for c in integers)
-        tail = tuple((key(m) - lead_key, c) for c, (_, m) in zip(coefficients, g.terms[1:]))
-        table = g._table = (lead_key & context._masks[0], lead, tail)
+        work, _ = _work(context, _keyed(g))
+        table = g._table = _tabulate(context, list(work.items()))
     return table
-
-
-def _tables(f: Polynomial, divisors: Sequence[Polynomial]) -> list[tuple]:
-    """The divisors' reducer tables; raises on a zero divisor or another context."""
-    tables = []
-    for g in divisors:
-        f._check(g)
-        if not g:
-            raise ValueError("zero divisor")
-        tables.append(_table(g))
-    return tables
 
 
 def _reduce(work: dict, tables: Sequence[tuple], masks, quotients=None) -> tuple[list[tuple], int]:
@@ -213,8 +231,20 @@ def _polynomial(context, pairs) -> Polynomial:
 
 
 def _monic(context, pairs) -> Polynomial:
-    """The monic polynomial of nonzero (key, coefficient) pairs listed highest term first."""
-    return _polynomial(context, _divided(context, pairs, pairs[0][1]))
+    """The monic polynomial of nonzero (key, coefficient) pairs listed highest term first.
+
+    It is read off the pairs' reducer table (``_tabulate``): its tail is the
+    table's tail divided by the table's lead l.  It carries that table, which
+    is the one its own terms give, so no table is built again from its
+    ``Fraction``s.
+    """
+    table = _tabulate(context, pairs)
+    _, lead, tail = table
+    lead_key = pairs[0][0]
+    shifted = _divided(context, [(lead_key + offset, c) for offset, c in tail], lead)
+    monic = _polynomial(context, [(lead_key, context.coefficient(1)), *shifted])
+    monic._table = table
+    return monic
 
 
 def _keyed(f: Polynomial):
@@ -223,20 +253,37 @@ def _keyed(f: Polynomial):
     return ((key(m), c) for c, m in f.terms)
 
 
+def _divide(f: Polynomial, divisors: Sequence[Polynomial], quotients=None) -> tuple:
+    """(tables, remainder, d): f divided by the divisors, through their reducer tables.
+
+    Raises on a zero divisor or another context.  The remainder is exact;
+    quotients, if given, are recorded on the kernel's scale, d times the
+    exact ones up to each divisor's table multiple (see ``_reduce``).
+    """
+    context = f.context
+    tables = []
+    for g in divisors:
+        f._check(g)
+        if not g:
+            raise ValueError("zero divisor")
+        tables.append(_table(g))
+    work, d = _work(context, _keyed(f))
+    remainder, multiplier = _reduce(work, tables, context._masks, quotients)
+    d *= multiplier
+    return tables, _polynomial(context, _divided(context, remainder, d)), d
+
+
 def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     """Divide f by an ordered list of divisors; ties go to the first divisor."""
     divisors = tuple(divisors)
     if not divisors:
         raise ValueError("at least one divisor is required")
-    context = f.context
-    tables = _tables(f, divisors)
-    work, d = _work(context, _keyed(f))
     quotients: list[list[tuple]] = [[] for _ in divisors]
-    remainder, multiplier = _reduce(work, tables, context._masks, quotients)
-    d *= multiplier
+    tables, remainder, d = _divide(f, divisors, quotients)
     # Divisor g entered as l / lc(g) times g, so its quotient is the recorded one
     # times l / lc(g) / d.  A quotient term's key is the eliminated term's key
     # minus g's lead key.
+    context = f.context
     key = context._key
     exact = []
     for q, g, (_, lead, _) in zip(quotients, divisors, tables):
@@ -244,11 +291,7 @@ def multivariate_divide(f: Polynomial, divisors: Sequence[Polynomial]) -> Divisi
         shifted = ((k - lead_key, c) for k, c in q)
         scale = g.terms[0].coefficient * Fraction(d, lead)
         exact.append(_polynomial(context, _divided(context, shifted, scale)))
-    return DivisionResult(
-        quotients=tuple(exact),
-        remainder=_polynomial(context, _divided(context, remainder, d)),
-        divisors=divisors,
-    )
+    return DivisionResult(quotients=tuple(exact), remainder=remainder, divisors=divisors)
 
 
 def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
@@ -256,8 +299,4 @@ def normal_form(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     elements = tuple(basis)
     if not elements:
         return f
-    context = f.context
-    tables = _tables(f, elements)
-    work, d = _work(context, _keyed(f))
-    remainder, multiplier = _reduce(work, tables, context._masks)
-    return _polynomial(context, _divided(context, remainder, d * multiplier))
+    return _divide(f, elements)[1]

@@ -22,8 +22,9 @@ degree that takes its leading monomial to the lcm; a remainder inherits the
 sugar of its pair.  Each S-polynomial is written straight into the division
 work dict from the two elements' reducer tables (``division._table``),
 reduced against the whole basis in insertion order, and a nonzero remainder
-is made monic before it joins.  Over Q the tables hold primitive integer
-multiples with integer leads l and l', so the work dict holds the integer
+is made monic, with its reducer table, before it joins
+(``division._monic``).  Over Q the tables hold primitive integer multiples
+with integer leads l and l', so the work dict holds the integer
 S-polynomial of those multiples, scaled by l' // gcd(l, l') and
 l // gcd(l, l'); the remainder is a multiple of the true one, which is all
 the pair loop needs, since it is made monic straight from its integers.
@@ -42,11 +43,13 @@ variable among its leading monomials, the ideal is zero-dimensional, and FGLM
 the lex one by linear algebra.  Over Q that linear algebra is fraction-free
 too: each normal form is kept as an integer remainder with an integer
 denominator, the incremental elimination (``_eliminate``) keeps primitive
-integer rows, and ``Fraction``s appear only when a relation is made monic as
-a lex basis element.  Otherwise the grevlex basis, already complete under
-one order, replaces the generators of the lex pair loop.  By Krull's height
-theorem a proper ideal with fewer generators than variables is never
-zero-dimensional, so those go straight to lex.
+integer rows (``division._primitive`` divides out their content), and
+``Fraction``s appear only when a relation is made monic as a lex basis
+element, by the same ``division._monic`` as the pair loop's remainders.
+Otherwise the grevlex basis, already complete under one order, replaces the
+generators of the lex pair loop.  By Krull's height theorem a proper ideal
+with fewer generators than variables is never zero-dimensional, so those go
+straight to lex.
 
 The pair loop keeps monomials as exponent tuples: an lcm is
 ``map(max, ...)``, two monomials are coprime when ``map(min, ...)`` is all
@@ -64,8 +67,8 @@ from dataclasses import dataclass, field
 from operator import le
 from typing import Iterable
 
-from .coefficients import _collect, _lex_sorted
-from .division import _divided, _keyed, _monic, _polynomial, _reduce, _table, _work
+from .coefficients import _collect
+from .division import _divided, _keyed, _monic, _polynomial, _primitive, _reduce, _table, _work
 from .division import normal_form  # noqa: F401 (re-exported as groebner.normal_form)
 from .polynomials import Polynomial, VarContext, _Grevlex, _terms
 
@@ -255,7 +258,7 @@ def minimalize(basis: GroebnerBasis) -> GroebnerBasis:
         if any(_divides(h.terms[0].monomial, lm) for h in kept):
             continue
         kept.append(g)
-    kept.sort(key=_lead_key)
+    kept.reverse()  # smallest key first: the kept leads are distinct
     return GroebnerBasis(tuple(kept), reduced=False, stats=basis.stats)
 
 
@@ -302,17 +305,6 @@ def _zero_dimensional(basis: GroebnerBasis) -> bool:
     return len(powers) == len(basis.context.variables)
 
 
-def _primitive(vector: dict, combination: dict, sign: int) -> tuple[dict, dict]:
-    """Integer vector and combination divided by sign times the gcd of all their entries."""
-    content = math.gcd(*vector.values(), *combination.values()) * sign
-    if content in (0, 1):
-        return vector, combination
-    return (
-        {k: v // content for k, v in vector.items()},
-        {k: v // content for k, v in combination.items()},
-    )
-
-
 def _eliminate(rows: list[tuple], vector: dict, combination: dict) -> dict | None:
     """Eliminate a sparse vector against the rows, consuming it and its combination.
 
@@ -342,12 +334,12 @@ def _eliminate(rows: list[tuple], vector: dict, combination: dict) -> dict | Non
         _collect(((k, -c * v) for k, v in row.items()), vector)
         _collect(((k, -c * v) for k, v in combo.items()), combination)
         if type(c) is int:
-            vector, combination = _primitive(vector, combination, 1)
+            vector, combination = _primitive(1, vector, combination)
     if not vector:
         return combination
     pivot, c = next(iter(vector.items()))
     if type(c) is int:
-        vector, combination = _primitive(vector, combination, 1 if c > 0 else -1)
+        vector, combination = _primitive(1 if c > 0 else -1, vector, combination)
         rows.append((pivot, vector[pivot], vector, combination))
     else:
         inverse = 1 / c
@@ -369,18 +361,20 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
     Normal forms live in division's key space.  Over Q each one is kept as
     (r, d), integers with no common factor whose quotient r / d is the exact
     normal form: the remainder ``_reduce`` returns for the shifted r, and the
-    multiplier times the parent's d, with their content divided out.  Over
-    Q(params) r is the normal form itself and d is 1.  Each r is eliminated
-    against the rows kept so far (``_eliminate``), recording the combination
-    of monomials it came from, which starts as d times the current one.  If
-    it vanishes, that combination, made monic, is an element of the reduced
+    multiplier times the parent's d, with their content divided out
+    (``division._primitive``).  Over Q(params) r is the normal form itself
+    and d is 1.  Each r is eliminated against the rows kept so far
+    (``_eliminate``), recording the combination of monomials it came from,
+    which starts as d times the current one.  If it vanishes, that
+    combination, keyed by the lex context and made monic by
+    ``division._monic`` with its reducer table, is an element of the reduced
     lex basis whose leading monomial is the current one, and no multiple of
     it is taken later; otherwise it joins the rows and the monomial is
     standard.  The walk ends because the quotient ring has finite dimension.
     """
     order = basis.context
     tables = [_table(g) for g in basis]
-    masks, key = order._masks, order._key
+    masks, key, lex = order._masks, order._key, context._key
     n = len(context.variables)
     steps = [key(tuple(int(i == j) for j in range(n))) for i in range(n)]
     one = context.coefficient(1) if context.parameters else 1
@@ -399,14 +393,11 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
             form, d = normal[parent]
             work = {k + steps[i]: c for k, c in form.items()}
         remainder, multiplier = _reduce(work, tables, masks)
-        form = dict(remainder)
+        form, combination = dict(remainder), {monomial: d}
         if multiplier != 1 or d != 1:
-            d *= multiplier
-            content = math.gcd(*form.values(), d)
-            if content != 1:
-                d //= content
-                form = {k: c // content for k, c in form.items()}
-        relation = _eliminate(rows, dict(form), {monomial: d})
+            form, combination = _primitive(1, form, {monomial: d * multiplier})
+            d = combination[monomial]
+        relation = _eliminate(rows, dict(form), combination)
         if relation is None:
             normal[monomial] = form, d
             for v in range(n):
@@ -414,8 +405,7 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
                 heapq.heappush(queue, (step, monomial, v))
         else:
             leads.append(monomial)
-            monic = _divided(context, relation.items(), relation[monomial])
-            elements.append(Polynomial._make(context, _terms(_lex_sorted(dict(monic)))))
+            elements.append(_monic(context, sorted((lex(m), c) for m, c in relation.items())))
     elements.reverse()
     return GroebnerBasis(tuple(elements), reduced=True, stats=basis.stats)
 

@@ -5,7 +5,8 @@ generators as variables by a grevlex basis converted to lex by FGLM.  These
 tests check the route's answer by certificate and against the lex pair loop,
 check which inputs take the route, and pin the private grevlex context, the
 packed int keys of both orders, the reducer tables the fused S-pair kernel
-reads and the rows of the elimination kernel FGLM and plane detection share.
+reads, the tables every basis element carries, and the rows of the
+elimination kernel FGLM and plane detection share.
 """
 
 import math
@@ -20,7 +21,7 @@ from gbgeom.division import _table, _work, multivariate_divide, normal_form
 from gbgeom.groebner import _eliminate, buchberger, is_groebner, reduce_basis, reduced_basis
 from gbgeom.polynomials import Polynomial, VarContext, _Grevlex
 
-from support import cyclic, katsura, parsed, random_fraction, stress_system, systems
+from support import cyclic, katsura, parsed, quadric_pair, random_fraction, stress_system, systems
 
 
 def grevlex_basis(gens):
@@ -257,6 +258,50 @@ def test_reducer_table_is_built_once_integral_over_q_and_monic_over_params():
     assert lead == 1
     assert tail == ((pctx._key((0, 0)) - pctx._key((1, 1)), 1 / a),)
     assert normal_form(px * px * py, [h]) == -px / a
+
+
+@pytest.fixture
+def returned(monkeypatch):
+    """Records every basis that buchberger and reduce_basis return inside reduced_basis."""
+    bases = []
+    for name in ("buchberger", "reduce_basis"):
+
+        def recording(basis, run=getattr(groebner, name)):
+            bases.append(run(basis))
+            return bases[-1]
+
+        monkeypatch.setattr(groebner, name, recording)
+    return bases
+
+
+CARRIED = {
+    "katsura-3": lambda: [parsed(katsura(3))],
+    "katsura-4": lambda: [parsed(katsura(4))],
+    "cyclic-4": lambda: [parsed(cyclic(4))],  # grevlex, then the seeded lex loop
+    "cyclic-5": lambda: [parsed(cyclic(5))],
+    "stress": lambda: [parsed(stress_system())],
+    "conoid-constraints": lambda: [conic_constraints()],  # FGLM over Q(a, b, d, h)
+    "pairs-Q": lambda: [parsed(quadric_pair(seed, False)) for seed in range(20)],
+    "pairs-Qab": lambda: [parsed(quadric_pair(seed, True)) for seed in range(20)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED))
+def test_every_basis_element_carries_the_table_of_its_terms(returned, name):
+    # pair-loop remainders, reduced elements and FGLM's lex elements are built
+    # with their reducer tables from the kernel's numbers; each must be the
+    # table that its terms give when built again from a bare copy
+    for gens in CARRIED[name]():
+        returned.clear()
+        result = reduced_basis(gens)
+        assert returned
+        one = type(gens[0].context.coefficient(1))
+        for basis in (*returned, result):
+            for g in basis:
+                assert g._table is not None
+                assert g._table == _table(Polynomial._make(g.context, g.terms))
+                assert all(type(c) is one for c, _ in g.terms)
+
 
 
 def field_eliminate(rows, vector, combination):
