@@ -29,9 +29,8 @@ from .conoid import (
     AXES,
     CONSTRAINT_MONOMIALS,
     ConoidParams,
-    _verified_families,
+    _conic_analysis,
     axis_section,
-    conic_constraints,
     final_verdict,
 )
 from .division import multivariate_divide
@@ -171,14 +170,10 @@ def _cmd_conoid_section(args) -> int:
             "kind": report.kind,
             "lines": [line.describe() for line in report.lines],
         }
-        if report.curve is not None:
-            payload["curve"] = str(report.curve)
-        if report.discriminant is not None:
-            payload["discriminant"] = str(report.discriminant)
-        if report.strip_bounds is not None:
-            payload["strip_bounds"] = [str(v) for v in report.strip_bounds]
-        if report.line_y_squared is not None:
-            payload["line_y_squared"] = str(report.line_y_squared)
+        for key in ("curve", "discriminant", "strip_bounds", "line_y_squared"):
+            value = getattr(report, key)
+            if value is not None:
+                payload[key] = [str(v) for v in value] if isinstance(value, tuple) else str(value)
         _emit_json(payload)
         return 0
     for line in report.describe():
@@ -199,9 +194,7 @@ def _family_payload(family) -> dict:
 
 
 def _cmd_conoid_conic(args) -> int:
-    constraints = conic_constraints()
-    basis = reduced_basis(constraints)
-    families = _verified_families(constraints, basis)
+    constraints, basis, families = _conic_analysis()
     ctx = constraints[0].context
     if args.json:
         payload = _envelope(ctx) | {

@@ -11,6 +11,14 @@ no plane section of the surface is a non-degenerate conic: the candidate
 planes surviving the degree-two constraints cut the surface in double lines,
 and the remaining branches reduce to the axis-parallel cases.
 
+Each fact of the study is written once.  The surface formula is one list of
+summands: ``conoid_surface`` is their sum, and the quintic check multiplies
+each by z - h.  Each candidate family's plane (A, B, C, D) is one function of
+a, d, h and a free scale; its normalized form (A, B, D)/C is read off it at
+scale 1.  One conic analysis builds the constraints and their reduced basis
+and verifies the families against both; ``solve_conic_constraints``,
+``final_verdict`` and the ``conoid conic-analysis`` command all use it.
+
 Square roots never enter the coefficient field: a line with an irrational
 slope is verified by adjoining a fresh lowest-precedence variable s together
 with the relation s^2 - delta and reducing modulo that relation.
@@ -114,38 +122,36 @@ def egg_curve(params: ConoidParams, ctx: VarContext | None = None) -> Polynomial
     )
 
 
-def conoid_surface(params: ConoidParams, ctx: VarContext | None = None) -> Polynomial:
-    """The quartic surface, fully expanded."""
-    ctx = ctx or params.context()
+def _surface_summands(
+    params: ConoidParams, ctx: VarContext
+) -> tuple[Polynomial, tuple[Polynomial, ...]]:
+    """z - h, and the three summands of the surface formula in the module docstring."""
     a, b, d, h = params.coefficients(ctx)
     x, y, z = (ctx.variable(n) for n in AXES)
     zh = z - ctx.constant(h)
     lead = (y**2).scale(a * a + d * d) - ctx.constant(a * a * b * b)
-    return lead * zh**2 - (x * y**2 * zh).scale(d * h * 2) + (x**2).scale(b * b * h * h)
+    return zh, (lead * zh**2, (x * y**2 * zh).scale(d * h * -2), (x**2).scale(b * b * h * h))
+
+
+def conoid_surface(params: ConoidParams, ctx: VarContext | None = None) -> Polynomial:
+    """The quartic surface, fully expanded."""
+    first, *rest = _surface_summands(params, ctx or params.context())[1]
+    return sum(rest, first)
 
 
 def quintic_decomposition_check(
     params: ConoidParams, surface: Polynomial | None = None
 ) -> bool:
-    """Whether (z - h) * surface equals the degree-five expansion built term by term.
+    """Whether (z - h) * surface equals the sum of (z - h) times each summand.
 
     The quintic form of the surface splits off the plane z = h; this verifies
     that identity exactly.  ``surface`` defaults to the quartic itself, and may
     be overridden (e.g. perturbed) to show the identity is not vacuous.
     """
-    ctx = params.context()
-    a, b, d, h = params.coefficients(ctx)
-    x, y, z = (ctx.variable(n) for n in AXES)
+    zh, (first, *rest) = _surface_summands(params, params.context())
     if surface is None:
-        surface = conoid_surface(params, ctx)
-    zh = z - ctx.constant(h)
-    lead = (y**2).scale(a * a + d * d) - ctx.constant(a * a * b * b)
-    quintic = (
-        lead * zh**3
-        - (x * y**2 * zh**2).scale(d * h * 2)
-        + (x**2 * zh).scale(b * b * h * h)
-    )
-    return zh * surface == quintic
+        surface = sum(rest, first)
+    return zh * surface == sum((zh * s for s in rest), zh * first)
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -236,7 +242,7 @@ def axis_section(params: ConoidParams, axis: str, value) -> SectionReport:
         raise ValueError("real-section classification needs numeric parameters")
     if axis not in AXES:
         raise ValueError(f"unknown axis: {axis!r}")
-    value = Fraction(value)
+    value = _rational(value)
     ctx = params.context()
     surface = conoid_surface(params, ctx)
     a, b, d, h = params.a, params.b, params.d, params.h
@@ -288,7 +294,7 @@ def verify_section_lines(params: ConoidParams, beta) -> bool:
     extra = (beta,) if symbolic_beta else ()
     ctx = params.context(extra_vars=("s",), extra_params=extra)
     a, b, d, h = params.coefficients(ctx)
-    beta_c = ctx.coefficient(beta if symbolic_beta else Fraction(beta))
+    beta_c = ctx.coefficient(beta if symbolic_beta else _rational(beta))
     delta = (b * b - beta_c * beta_c) * (a * a * b * b - d * d * beta_c * beta_c)
     lifted = _lifted(delta)
     if lifted.is_constant() and lifted.constant_value() < 0:
@@ -363,7 +369,7 @@ class ConicCandidateFamily:
     family_id: str
     scale_name: str
     coefficients: tuple[ParamFraction, ...]  # (A, B, C, D) as functions of the scale
-    normalized: tuple[ParamFraction, ...]  # (A, B, D) with C = 1
+    normalized: tuple[ParamFraction, ...]  # (A, B, D)/C at scale 1, so C = 1
 
     def plane_equation(self) -> Polynomial:
         """The plane in x, y, z over Q(a, b, d, h), denominators cleared."""
@@ -374,36 +380,27 @@ class ConicCandidateFamily:
         return clear_denominators(plane + ctx.constant(D))
 
 
+def _plane_vector(
+    family_id: str, params: tuple[str, ...], scale: ParamFraction | int
+) -> tuple[ParamFraction | int, ...]:
+    """Family ``family_id``'s plane (A, B, C, D) over Q(params), scaled by ``scale``."""
+    zero, h = ParamFraction.zero(params), ParamFraction.parameter(params, "h")
+    if family_id == "1":
+        return (zero, zero, scale, -(scale * h))
+    a, d = ParamFraction.parameter(params, "a"), ParamFraction.parameter(params, "d")
+    s = (a * a + d * d) * scale
+    return (scale, zero, -s / (d * h * 2), s / (d * 2))
+
+
 def _families() -> tuple[ConicCandidateFamily, ConicCandidateFamily]:
     base = ("a", "b", "d", "h")
-    zero = ParamFraction.zero(base)
-    h = ParamFraction.parameter(base, "h")
-    s_sum = (
-        ParamFraction.parameter(base, "a") ** 2 + ParamFraction.parameter(base, "d") ** 2
-    )
-    dh2 = ParamFraction.parameter(base, "d") * h * 2
-
-    with_p = base + ("p",)
-    p = ParamFraction.parameter(with_p, "p")
-    hp = ParamFraction.parameter(with_p, "h")
-    one = ConicCandidateFamily(
-        "1", "p", (ParamFraction.zero(with_p), ParamFraction.zero(with_p), p, -(p * hp)),
-        (zero, zero, -h),
-    )
-
-    with_q = base + ("q",)
-    q = ParamFraction.parameter(with_q, "q")
-    hq = ParamFraction.parameter(with_q, "h")
-    sq = (
-        ParamFraction.parameter(with_q, "a") ** 2 + ParamFraction.parameter(with_q, "d") ** 2
-    )
-    dq = ParamFraction.parameter(with_q, "d")
-    two = ConicCandidateFamily(
-        "2", "q",
-        (q, ParamFraction.zero(with_q), -(sq * q) / (dq * hq * 2), (sq * q) / (dq * 2)),
-        (-(dh2 / s_sum), zero, -h),
-    )
-    return one, two
+    families = []
+    for family_id, scale_name in (("1", "p"), ("2", "q")):
+        scaled = base + (scale_name,)
+        vector = _plane_vector(family_id, scaled, ParamFraction.parameter(scaled, scale_name))
+        A, B, C, D = _plane_vector(family_id, base, 1)
+        families.append(ConicCandidateFamily(family_id, scale_name, vector, (A / C, B / C, D / C)))
+    return tuple(families)
 
 
 def conic_constraint_basis() -> GroebnerBasis:
@@ -424,22 +421,19 @@ def solve_conic_constraints() -> tuple[ConicCandidateFamily, ConicCandidateFamil
     reduced constraint basis consists of B, D + h and a quadratic in A whose
     roots are exactly the two families' A values, so no further family exists.
     """
+    return _conic_analysis()[2]
+
+
+def _conic_analysis() -> tuple[list[Polynomial], GroebnerBasis, tuple[ConicCandidateFamily, ...]]:
+    """The conic constraints, their reduced basis, and the families verified against both."""
     constraints = conic_constraints()
-    return _verified_families(constraints, reduced_basis(constraints))
-
-
-def _verified_families(
-    constraints: list[Polynomial], basis: GroebnerBasis
-) -> tuple[ConicCandidateFamily, ConicCandidateFamily]:
-    """``solve_conic_constraints`` on constraints and basis the caller has built."""
+    basis = reduced_basis(constraints)
     ctx = constraints[0].context
     families = _families()
     for family in families:
         for constraint in constraints:
             if _at_point(constraint, family.normalized):
-                raise ArithmeticError(
-                    f"family {family.family_id} fails a conic constraint"
-                )
+                raise ArithmeticError(f"family {family.family_id} fails a conic constraint")
     A = ctx.variable("A")
     roots = [family.normalized[0] for family in families]
     expected = (
@@ -449,7 +443,7 @@ def _verified_families(
     )
     if basis.elements != expected:
         raise ArithmeticError("constraint basis does not match the two-family structure")
-    return families
+    return constraints, basis, families
 
 
 @dataclass(frozen=True)
@@ -473,9 +467,7 @@ def final_verdict() -> ConoidVerdict:
     the x-z projection.
     """
     params = ConoidParams.symbolic()
-    constraints = conic_constraints()
-    constraint_basis = reduced_basis(constraints)
-    families = _verified_families(constraints, constraint_basis)
+    _, constraint_basis, families = _conic_analysis()
     surface = conoid_surface(params)
     planes = [family.plane_equation() for family in families]
     bases = tuple(reduced_basis((surface, plane)) for plane in planes)

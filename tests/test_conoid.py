@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gbgeom import conoid
 from gbgeom.conoid import (
     CONCLUSION,
     CONSTRAINT_MONOMIALS,
@@ -179,6 +180,16 @@ def test_section_argument_validation():
         axis_section(DESK, "w", 0)
 
 
+def test_section_api_refuses_inexact_values():
+    # 0.5 is a binary float, so Fraction would read it exactly; the package
+    # takes ints and Fractions only, as ConoidParams does
+    for value in (0.5, 1.0, "1/2"):
+        with pytest.raises(TypeError, match="not an exact coefficient"):
+            axis_section(DESK, "y", value)
+    with pytest.raises(TypeError, match="not an exact coefficient"):
+        verify_section_lines(DESK, 0.5)
+
+
 def test_section_lines_verify_against_the_surface():
     assert verify_section_lines(DESK, 0)
     assert verify_section_lines(DESK, 1)
@@ -300,3 +311,43 @@ def test_final_verdict_report():
     assert len(verdict.branches) == 6
     assert verdict.conclusion == CONCLUSION
     assert verdict.constraint_basis.elements == conic_constraint_basis().elements
+
+
+def test_conic_analysis_refuses_a_family_off_the_constraints(monkeypatch):
+    builder = conoid._plane_vector
+
+    def shifted(family_id, params, scale):
+        A, B, C, D = builder(family_id, params, scale)
+        return (A, B, C, D + 1) if family_id == "1" else (A, B, C, D)
+
+    monkeypatch.setattr(conoid, "_plane_vector", shifted)
+    with pytest.raises(ArithmeticError, match="family 1 fails a conic constraint"):
+        solve_conic_constraints()
+    with pytest.raises(ArithmeticError, match="fails a conic constraint"):
+        final_verdict()
+
+
+def test_conic_analysis_refuses_a_missing_family(monkeypatch):
+    # family 1 twice satisfies every constraint, but its double root A = 0
+    # is not the basis's quadratic in A
+    builder = conoid._plane_vector
+    monkeypatch.setattr(
+        conoid, "_plane_vector", lambda _, params, scale: builder("1", params, scale)
+    )
+    with pytest.raises(ArithmeticError, match="does not match the two-family structure"):
+        solve_conic_constraints()
+
+
+def test_normalized_is_the_scaled_vector_over_c():
+    # at seeded points of (a, b, d, h) and of the free factor: the vector is
+    # linear in the factor, and at factor 1 divided by C it is ``normalized``
+    rng = random.Random(24)
+    for family in solve_conic_constraints():
+        for _ in range(5):
+            point = {n: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for n in "abdh"}
+            factor = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+            at_one = [c.evaluate(point | {family.scale_name: 1}) for c in family.coefficients]
+            scaled = [c.evaluate(point | {family.scale_name: factor}) for c in family.coefficients]
+            assert scaled == [factor * v for v in at_one]
+            A, B, C, D = at_one
+            assert [v.evaluate(point) for v in family.normalized] == [A / C, B / C, D / C]

@@ -1,8 +1,9 @@
 """Full CLI stdout, byte for byte, against golden files in ``fixtures/golden``.
 
 Each case names a golden file and the command whose complete output it holds.
-The goldens pin every line of the conoid reports and of ``basis``, ``planar``
-and ``reduce`` on both fixture systems, plain and ``--json``.
+The goldens pin every line of the conoid reports, of seven axis sections
+(between them every optional field of the section JSON), and of ``basis``,
+``planar`` and ``reduce`` on both fixture systems, plain and ``--json``.
 """
 
 from pathlib import Path
@@ -21,6 +22,9 @@ SYSTEMS = {
 
 TARGETS = {"paraboloid": "x*y - z", "curve": "x + y + z - 4"}
 
+# (axis, value) of the sections pinned, at the default a, b, d, h = 2, 1, 1, 1
+SECTIONS = (("x", "0"), ("x", "1"), ("y", "0"), ("y", "1"), ("y", "3/2"), ("z", "1/2"), ("z", "1"))
+
 CASES = {
     "conoid_conic_analysis": ["conoid", "conic-analysis"],
     "conoid_conic_analysis_cleared": ["conoid", "conic-analysis", "--cleared"],
@@ -28,6 +32,11 @@ CASES = {
     "conoid_verdict": ["conoid", "verdict"],
     "conoid_verdict_json": ["conoid", "verdict", "--json"],
 }
+for _axis, _value in SECTIONS:
+    _name = f"conoid_section_{_axis}_{_value.replace('/', '_')}"
+    _argv = ["conoid", "section", "--axis", _axis, "--value", _value]
+    CASES[_name] = _argv
+    CASES[f"{_name}_json"] = [*_argv, "--json"]
 for _name, _file in SYSTEMS.items():
     CASES[f"basis_{_name}"] = ["basis", _file]
     CASES[f"basis_{_name}_cleared"] = ["basis", _file, "--cleared"]
