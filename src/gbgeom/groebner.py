@@ -49,7 +49,11 @@ element, by the same ``division._monic`` as the pair loop's remainders.
 Otherwise the grevlex basis, already complete under one order, replaces the
 generators of the lex pair loop.  By Krull's height theorem a proper ideal
 with fewer generators than variables is never zero-dimensional, so those go
-straight to lex.
+straight to lex.  The routing is written once, in ``_completed``: the basis
+that ``reduced_basis`` has before its last step, the reduced grevlex basis or
+the lex pair loop's unreduced output.  A normal form is unique modulo any
+Groebner basis of a fixed order, so plane detection reads its normal forms
+off that basis and takes no last step at all.
 
 The pair loop keeps monomials as exponent tuples: an lcm is
 ``map(max, ...)``, two monomials are coprime when ``map(min, ...)`` is all
@@ -410,25 +414,39 @@ def _fglm(basis: GroebnerBasis, context: VarContext) -> GroebnerBasis:
     return GroebnerBasis(tuple(elements), reduced=True, stats=basis.stats)
 
 
-def reduced_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:
-    """The reduced lex basis of the ideal the generators span.
+def _completed(generators: Iterable[Polynomial]) -> GroebnerBasis:
+    """The Groebner basis that ``reduced_basis`` finishes: its last step not yet taken.
 
-    Buchberger, minimalize and reduce.  With at least as many generators as
-    variables, the reduced graded reverse lex basis comes first: FGLM
-    converts it when the ideal is zero-dimensional, and otherwise it seeds
-    the lex pair loop in place of the generators (see the module docstring).
-    Either way the basis is the same.
+    With at least as many nonzero generators as variables, the reduced
+    graded reverse lex basis, in a ``_Grevlex`` context; otherwise the lex
+    pair loop's output, unreduced.  Normal forms modulo either are the
+    unique ones of its order, which is all plane detection needs.
     """
     generators = _nonzero(generators)
     if generators and len(generators) >= len(generators[0].context.variables):
         context = generators[0].context
-        grevlex = reduce_basis(
-            buchberger(_in_context(generators, _Grevlex(context.variables, context.parameters)))
-        )
-        if _zero_dimensional(grevlex):
-            return _fglm(grevlex, context)
-        generators = _in_context(grevlex, context)
-    return reduce_basis(buchberger(generators))
+        grevlex = _Grevlex(context.variables, context.parameters)
+        return reduce_basis(buchberger(_in_context(generators, grevlex)))
+    return buchberger(generators)
+
+
+def reduced_basis(generators: Iterable[Polynomial]) -> GroebnerBasis:
+    """The reduced lex basis of the ideal the generators span.
+
+    Buchberger, minimalize and reduce.  With at least as many generators as
+    variables, the reduced graded reverse lex basis comes first
+    (``_completed``): FGLM converts it when the ideal is zero-dimensional,
+    and otherwise it seeds the lex pair loop in place of the generators (see
+    the module docstring).  Either way the basis is the same.
+    """
+    generators = _nonzero(generators)
+    basis = _completed(generators)
+    if not basis.reduced:
+        return reduce_basis(basis)
+    context = generators[0].context
+    if _zero_dimensional(basis):
+        return _fglm(basis, context)
+    return reduce_basis(buchberger(_in_context(basis, context)))
 
 
 def is_groebner(generators: Iterable[Polynomial]) -> bool:

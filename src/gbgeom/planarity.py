@@ -13,10 +13,16 @@ Three views of the same question, in increasing strength:
   A*NF(x) + B*NF(y) + C*NF(z) + D*NF(1) vanishes.  Eliminating the four
   normal forms in turn, as FGLM does (``groebner._eliminate``), gives one
   relation for each that depends on the ones before it; these span every
-  such plane, including the ones a basis scan misses.  Each column is
-  reduced by division's kernel against the basis's reducer tables, so over
-  Q the normal forms, the elimination and the relations stay on integers,
-  and each plane vector is divided by its lead only at the end.
+  such plane, including the ones a basis scan misses.  The relations do
+  not depend on the basis or its order, since a normal form is unique
+  modulo any Groebner basis of a fixed order, so the columns are reduced
+  against whichever basis the pair loop produced (``groebner._completed``):
+  the reduced grevlex basis, or the unreduced lex one; no lex reduction,
+  FGLM or seeded lex loop runs.  Each column is reduced by division's
+  kernel against that basis's reducer tables, keyed in its own order, so
+  over Q the normal forms, the elimination and the relations stay on
+  integers, and each plane vector is divided by its lead only at the end;
+  the family is built in the generators' lex context.
   ``PlaneFamily.contains`` clears its vectors to integers for the same
   kernel.
 """
@@ -28,7 +34,7 @@ from typing import Iterable
 
 from .coefficients import Coefficient
 from .division import _divided, _reduce, _table, _work
-from .groebner import GroebnerBasis, _divides, _eliminate, reduce_basis, reduced_basis
+from .groebner import GroebnerBasis, _completed, _divides, _eliminate, reduce_basis
 from .polynomials import Polynomial, VarContext, coefficient_of
 
 
@@ -131,20 +137,30 @@ def lt_membership(basis: GroebnerBasis) -> LTMembershipReport:
 
 
 def detect_planes(generators: Iterable[Polynomial]) -> PlaneDetection:
-    """Enumerate every plane containing the variety of the given ideal."""
-    if isinstance(generators, GroebnerBasis) and generators.reduced:
-        basis = generators
-    else:
-        basis = reduced_basis(generators)
-    if not basis.elements:
+    """Enumerate every plane containing the variety of the given ideal.
+
+    The normal forms are taken modulo the basis the pair loop completed
+    (``groebner._completed``): the reduced grevlex basis, or the unreduced
+    lex one.  A ``GroebnerBasis`` passed with ``reduced=True`` is used as
+    given.  Raises ValueError unless the first generator's context has
+    exactly three variables; no generators give "none".
+    """
+    given = isinstance(generators, GroebnerBasis) and generators.reduced
+    generators = tuple(generators)
+    if not generators:
         return PlaneDetection("none", None)
-    context = basis.context
+    context = generators[0].context
     if len(context.variables) != 3:
         raise ValueError("plane detection needs exactly three variables")
-    if any(g.is_constant() for g in basis.elements):
+    basis = generators if given else _completed(generators).elements
+    if not basis:
+        return PlaneDetection("none", None)
+    if any(g.is_constant() for g in basis):
         return PlaneDetection("empty-variety", None)
+    # the basis's own order keys its reducer tables, cached by the pair loop
     tables = [_table(g) for g in basis]
-    key, masks = context._key, context._masks
+    order = basis[0].context
+    key, masks = order._key, order._masks
     columns = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
     zero = context.coefficient(0)
     one = context.coefficient(1) if context.parameters else 1

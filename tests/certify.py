@@ -4,13 +4,16 @@ Usage: ``PYTHONPATH=src:tests python tests/certify.py <name>``, with a name
 from ``SYSTEMS``.  The script computes the reduced lex basis of the system's
 generators, checks its number of elements, checks that it is a Groebner
 basis by Buchberger's criterion (``is_groebner``) and that every generator
-has normal form zero modulo it, and exits non-zero if any check fails.  It
-needs no sympy, so it certifies the engine where the oracle tests skip.
+has normal form zero modulo it; for a system in three variables it also
+checks that plane detection from the generators, which reads the basis the
+pair loop completed, equals plane detection from the lex basis.  It exits
+non-zero if any check fails.  It needs no sympy, so it certifies the engine
+where the oracle tests skip.
 """
 
 import sys
 
-from gbgeom import is_groebner, normal_form, parse_expression, reduced_basis
+from gbgeom import detect_planes, is_groebner, normal_form, parse_expression, reduced_basis
 
 from support import cyclic, katsura, stress_system
 
@@ -27,7 +30,8 @@ SYSTEMS = {
     # elimination's scaling or content removal would show here
     "katsura-6": (lambda: katsura(6), 7),
     # FGLM over Q(a, b, c): its elimination runs the parameter gcd's
-    # divisibility shortcut, heuristic and Henrici addition
+    # divisibility shortcut, heuristic and Henrici addition; in three
+    # variables, so its planes are read off the grevlex basis too
     "stress": (stress_system, 3),
 }
 
@@ -45,6 +49,8 @@ def certify(name: str) -> list[str]:
         failures.append("not a Groebner basis")
     if any(normal_form(g, basis) for g in generators):
         failures.append("a generator has a nonzero normal form")
+    if len(ctx.variables) == 3 and detect_planes(generators) != detect_planes(basis):
+        failures.append("planes from the generators differ from those of the basis")
     return failures
 
 

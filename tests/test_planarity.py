@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from gbgeom import parse_expression
+from gbgeom import groebner, parse_expression, planarity
 from gbgeom.groebner import GroebnerBasis, reduced_basis
 from gbgeom.planarity import PlaneFamily, detect_planes, lt_membership, scan_linear
 from gbgeom.polynomials import VarContext, clear_denominators
+
+from support import cyclic, katsura, parsed, quadric_pair
 
 PCTX = VarContext(("x", "y", "z"), ("a", "b"))
 QCTX = VarContext(("x", "y", "z"))
@@ -175,6 +177,70 @@ def test_detect_planes_requires_three_variables():
         detect_planes([ctx.variable("x")])
 
 
+def test_detect_planes_counts_variables_before_any_basis_work(monkeypatch):
+    def refused(generators):
+        raise AssertionError("basis work before the variable count")
+
+    monkeypatch.setattr(planarity, "_completed", refused)
+    # the zero ideal of two variables, and katsura-4 in five
+    for gens in ([VarContext(("x", "y")).zero()], parsed(katsura(4))):
+        with pytest.raises(ValueError, match="exactly three variables"):
+            detect_planes(gens)
+
+
 def test_detect_planes_accepts_prebuilt_reduced_basis():
     gb = reduced_basis(curve_system())
     assert detect_planes(gb).status == "planes"
+
+
+def plane_cases():
+    """Name -> generators: seeded quadric pairs, and systems of three generators in x, y, z."""
+    cases = {}
+    for seed in range(8):
+        cases[f"pair-Q-{seed}"] = quadric_pair(seed, params=False)
+        cases[f"pair-Qab-{seed}"] = quadric_pair(seed, params=True)
+    cases["katsura-2"] = katsura(2)
+    cases["cyclic-3"] = cyclic(3)
+    xyz = ("x", "y", "z")
+    # two points, then two curves: the twisted cubic and a circle in the plane z = x
+    cases["circle-points"] = (QCTX, ["x^2 + y^2 - 1", "z", "x - y"])
+    cases["twisted-cubic"] = (VarContext(xyz), ["y - x^2", "z - x^3", "z - x*y"])
+    cases["plane-circle"] = (VarContext(xyz), ["x^2 + y^2 - 1", "z - x", "z*y - x*y"])
+    cases["unit"] = (QCTX, ["x", "y", "x + 1"])
+    return cases
+
+
+PLANE_CASES = plane_cases()
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_CASES))
+def test_generators_and_their_lex_basis_give_the_same_planes(name):
+    gens = parsed(PLANE_CASES[name])
+    assert detect_planes(gens) == detect_planes(reduced_basis(gens))
+
+
+@pytest.mark.parametrize("name", ["katsura-2", "cyclic-3", "twisted-cubic", "plane-circle"])
+def test_planes_of_three_generators_need_only_the_grevlex_loop(monkeypatch, name):
+    runs = []
+    loop = groebner.buchberger
+
+    def recording(generators):
+        generators = list(generators)
+        runs.append(type(generators[0].context).__name__)
+        return loop(generators)
+
+    def refused(basis, context):
+        raise AssertionError("FGLM in plane detection")
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(groebner, "_fglm", refused)
+    gens = parsed(PLANE_CASES[name])
+    detection = detect_planes(gens)
+    assert runs == ["_Grevlex"]
+    if name == "twisted-cubic":
+        assert detection.status == "none"
+        return
+    # the family lives in the caller's lex context
+    assert detection.family.context == gens[0].context
+    linear = [g for g in gens if g.total_degree() == 1]
+    assert linear and all(detection.family.contains(g) for g in linear)
