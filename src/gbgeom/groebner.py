@@ -319,22 +319,27 @@ def _eliminate(rows: list[tuple], vector: dict, combination: dict) -> dict | Non
     combination's is 1.  Before an entry c is eliminated by a row of lead l,
     the vector and its combination are multiplied by l // gcd(c, l), and
     after each row step their content is divided out, which keeps the
-    integers from growing with the number of rows.  Over Q(params) every row
-    is made monic once, so l is 1 and nothing is multiplied.  A vanishing
-    vector returns its combination, a relation, up to a nonzero constant over
-    Q; any other joins the rows, with its first entry as the pivot.
+    integers from growing with the number of rows.  Over Q(params) rows keep
+    their pivot entry; a step divides one entry, c by l, and subtracts c / l
+    times the row and its combination, so the vector's combination is never
+    scaled.  A vanishing vector returns its combination, a relation, up to a
+    nonzero constant over Q; any other joins the rows, with its first entry
+    as the pivot.
     """
     for pivot, lead, row, combo in rows:
         c = vector.get(pivot)
         if c is None:
             continue
         if lead != 1:
-            common = math.gcd(c, lead)
-            m = lead // common
-            if m != 1:
-                vector = {k: v * m for k, v in vector.items()}
-                combination = {k: v * m for k, v in combination.items()}
-            c //= common
+            if type(c) is int:
+                common = math.gcd(c, lead)
+                m = lead // common
+                if m != 1:
+                    vector = {k: v * m for k, v in vector.items()}
+                    combination = {k: v * m for k, v in combination.items()}
+                c //= common
+            else:
+                c = c / lead
         _collect(((k, -c * v) for k, v in row.items()), vector)
         _collect(((k, -c * v) for k, v in combo.items()), combination)
         if type(c) is int:
@@ -344,15 +349,7 @@ def _eliminate(rows: list[tuple], vector: dict, combination: dict) -> dict | Non
     pivot, c = next(iter(vector.items()))
     if type(c) is int:
         vector, combination = _primitive(1 if c > 0 else -1, vector, combination)
-        rows.append((pivot, vector[pivot], vector, combination))
-    else:
-        inverse = 1 / c
-        rows.append((
-            pivot,
-            1,
-            {k: v * inverse for k, v in vector.items()},
-            {k: v * inverse for k, v in combination.items()},
-        ))
+    rows.append((pivot, vector[pivot], vector, combination))
     return None
 
 

@@ -6,16 +6,17 @@ generators, checks its number of elements, checks that it is a Groebner
 basis by Buchberger's criterion (``is_groebner``) and that every generator
 has normal form zero modulo it; for a system in three variables it also
 checks that plane detection from the generators, which reads the basis the
-pair loop completed, equals plane detection from the lex basis.  It exits
-non-zero if any check fails.  It needs no sympy, so it certifies the engine
-where the oracle tests skip.
+pair loop completed, equals plane detection from the lex basis, and that
+every degree-1 generator lies in the family detected from the generators.
+It exits non-zero if any check fails.  It needs no sympy, so it certifies
+the engine where the oracle tests skip.
 """
 
 import sys
 
 from gbgeom import detect_planes, is_groebner, normal_form, parse_expression, reduced_basis
 
-from support import cyclic, katsura, stress_system
+from support import cyclic, katsura, stress_plane_system, stress_system
 
 # name -> (the system's (context, generator texts), elements of its reduced lex basis)
 SYSTEMS = {
@@ -33,6 +34,9 @@ SYSTEMS = {
     # divisibility shortcut, heuristic and Henrici addition; in three
     # variables, so its planes are read off the grevlex basis too
     "stress": (stress_system, 3),
+    # the stress system cut by a plane: detection must find that plane, so
+    # the plane checks can fail here, as they cannot on a system with none
+    "stress-plane": (stress_plane_system, 3),
 }
 
 
@@ -49,8 +53,13 @@ def certify(name: str) -> list[str]:
         failures.append("not a Groebner basis")
     if any(normal_form(g, basis) for g in generators):
         failures.append("a generator has a nonzero normal form")
-    if len(ctx.variables) == 3 and detect_planes(generators) != detect_planes(basis):
-        failures.append("planes from the generators differ from those of the basis")
+    if len(ctx.variables) == 3:
+        detection = detect_planes(generators)
+        if detection != detect_planes(basis):
+            failures.append("planes from the generators differ from those of the basis")
+        linear = [g for g in generators if g.total_degree() == 1]
+        if linear and not (detection.family and all(map(detection.family.contains, linear))):
+            failures.append("a degree-1 generator is not in the detected plane family")
     return failures
 
 

@@ -144,6 +144,12 @@ def stress_system():
     return ctx, ["x^2/a^2 + y^2/b^2 + z^2/c^2 - 1", "x^2 + y^2 - a*x", "x*y*z - c"]
 
 
+def stress_plane_system():
+    """The stress system with x*y*z = c replaced by the plane x + y + z = c."""
+    ctx = VarContext(XYZ, ("a", "b", "c"))
+    return ctx, ["x^2/a^2 + y^2/b^2 + z^2/c^2 - 1", "x^2 + y^2 - a*x", "x + y + z - c"]
+
+
 def parsed(case):
     """The generators of a (context, texts) case such as ``katsura(n)``, parsed."""
     ctx, polys = case

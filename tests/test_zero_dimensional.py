@@ -12,6 +12,7 @@ elimination kernel FGLM and plane detection share.
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -21,7 +22,10 @@ from gbgeom.division import _table, _work, multivariate_divide, normal_form
 from gbgeom.groebner import _eliminate, buchberger, is_groebner, reduce_basis, reduced_basis
 from gbgeom.polynomials import Polynomial, VarContext, _Grevlex
 
-from support import cyclic, katsura, parsed, quadric_pair, random_fraction, stress_system, systems
+from support import (
+    cyclic, katsura, parsed, quadric_pair, random_fraction, stress_plane_system, stress_system,
+    systems,
+)
 
 
 def grevlex_basis(gens):
@@ -68,6 +72,12 @@ def substituted_katsura_3():
     return parsed((ctx, [p.replace("u1", "(2/3*u1)") for p in polys]))
 
 
+def quadric_pair_and_plane(seed):
+    """The seeded quadric pair over Q(a, b) cut by the plane x + 2*y - z + a: FGLM over Q(a, b)."""
+    ctx, polys = quadric_pair(seed, True)
+    return parsed((ctx, [*polys, "x + 2*y - z + a"]))
+
+
 DIFFERENTIAL = {
     "katsura-2": lambda: parsed(katsura(2)),
     "katsura-3": lambda: parsed(katsura(3)),
@@ -77,7 +87,9 @@ DIFFERENTIAL = {
     "cyclic-4": lambda: parsed(cyclic(4)),
     "cyclic-5": lambda: parsed(cyclic(5)),
     "stress": lambda: parsed(stress_system()),
+    "stress-plane": lambda: parsed(stress_plane_system()),
     "conoid-constraints": conic_constraints,
+    **{f"pair-{seed}-plane": partial(quadric_pair_and_plane, seed) for seed in (0, 2, 3)},
 }
 
 
@@ -395,16 +407,17 @@ def test_elimination_rows_over_q_are_primitive_integer_vectors():
     assert relations >= 50 and scaled >= 50, (relations, scaled)
 
 
-def test_elimination_rows_over_params_are_monic():
+def test_elimination_rows_over_params_keep_their_pivot_entry():
     rng = random.Random(2009)
     ctx = VarContext(("x",), ("a", "b"))
     a, b, one = ctx.coefficient("a"), ctx.coefficient("b"), ctx.coefficient(1)
     choices = (a, b, a + one, a * b, a - b, one * 2, one * -3, one / a, b / (a + one))
-    relations = 0
+    relations = divided = 0
     for _ in range(5):
         vectors = span_draws(rng, lambda: rng.choice(choices), 4, 6)
         rows, field_rows = [], []
         for i, vector in enumerate(vectors):
+            divided += any(lead != 1 and pivot in vector for pivot, lead, _, _ in rows)
             relation = _eliminate(rows, dict(vector), {i: one})
             expected = field_eliminate(field_rows, dict(vector), {i: one})
             assert (relation is None) == (expected is None)
@@ -412,6 +425,8 @@ def test_elimination_rows_over_params_are_monic():
                 relations += 1
                 assert proportional(relation, expected)
             for pivot, lead, row, _ in rows:
-                assert lead == 1 and row[pivot] == one
+                assert lead == row[pivot] and lead
             assert_rows_are_their_combinations(rows, vectors)
-    assert relations >= 10, relations
+            assert [r[0] for r in rows] == [r[0] for r in field_rows]
+    # the draws exercise both outcomes and rows whose pivot entry is not 1
+    assert relations >= 10 and divided >= 10, (relations, divided)
