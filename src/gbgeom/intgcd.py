@@ -9,10 +9,14 @@ the gcd divides nothing again.  Every answer is proven: after the zero,
 constant and monomial shortcuts, ``_divisor_gcd`` settles the pairs in which
 one input divides the other with one exact division, tried only when the
 degrees and term counts allow it and the values at a fixed point divide;
-``coprime`` proves most other pairs coprime from modular images; the
-heuristic gcd GCDHEU (``common_divisor``) finds a common divisor and its
-cofactors, which counts when a cofactor is constant or ``coprime`` proves the
-cofactors coprime; anything else runs the primitive remainder sequence over Z.
+``_monomial_gcd`` splits off the inputs' monomial contents, whose gcd is the
+monomial of their least exponents; ``_irreducible_gcd`` settles the pairs in
+which an input is irreducible because it has degree 1 in a parameter that
+only one of its terms contains, so the gcd is that input or 1; ``coprime``
+proves most other pairs coprime from modular images; the heuristic gcd
+GCDHEU (``common_divisor``) finds a common divisor and its cofactors, which
+counts when a cofactor is constant or ``coprime`` proves the cofactors
+coprime; anything else runs the primitive remainder sequence over Z.
 """
 
 from __future__ import annotations
@@ -290,24 +294,67 @@ def _value(f: dict) -> int:
     return total
 
 
-def _divisor_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
-    """``gcd`` when one input divides the other, else None."""
-    df, dg = _degrees(f), _degrees(g)
-    swapped = not (len(f) <= len(g) and all(map(le, df, dg)))
-    if swapped:
-        if not (len(g) <= len(f) and all(map(le, dg, df))):
-            return None
-        f, g = g, f
-    d, m = _value(f), _value(g)
-    if (m % d if d else m) or (quotient := _exact_quotient(g, f)) is None:
+def _divides(d: dict, m: dict) -> tuple[dict, dict, dict] | None:
+    """``gcd(d, m)`` when d divides m, else None; the caller checks the degree bounds."""
+    a, b = _value(d), _value(m)
+    if (b % a if a else b) or (quotient := _exact_quotient(m, d)) is None:
         return None
     # the gcd is the divisor made primitive and positive; its content and
     # sign move to both cofactors
-    content = math.gcd(*f.values()) * (1 if f[max(f)] > 0 else -1)
-    h, unit = _quo_int(f, content), {(0,) * len(df): content}
+    content = math.gcd(*d.values()) * (1 if d[max(d)] > 0 else -1)
     if content != 1:
         quotient = {e: c * content for e, c in quotient.items()}
-    return (h, quotient, unit) if swapped else (h, unit, quotient)
+    return _quo_int(d, content), {(0,) * len(next(iter(d))): content}, quotient
+
+
+def _divisor_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
+    """``gcd`` when one input divides the other, else None."""
+    df, dg = _degrees(f), _degrees(g)
+    if len(f) <= len(g) and all(map(le, df, dg)):
+        return _divides(f, g)
+    if len(g) <= len(f) and all(map(le, dg, df)):
+        found = _divides(g, f)
+        return found and (found[0], found[2], found[1])
+    return None
+
+
+# Two exact steps for the pairs the divisibility shortcut leaves open.  A
+# monomial x^m_f that divides f is prime to every polynomial no variable
+# divides, so gcd(f, g) is x^m, m = min(m_f, m_g), times the gcd of f / x^m_f
+# and g / x^m_g.  And an input p with no monomial content that has degree 1
+# in a parameter t, with t in one term only, is irreducible: a factor free of
+# t divides the coefficient of t, a monomial, so it is a monomial or a unit.
+# The gcd of p and q is then p or 1, and the degree bounds, the values at the
+# fixed point and one exact division decide which.
+
+
+def _shift(f: dict, m: tuple, op) -> dict:
+    """f times the monomial x^m with op add, f over it with op sub."""
+    return {tuple(map(op, e, m)): c for e, c in f.items()} if any(m) else f
+
+
+def _monomial_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
+    """``gcd`` when f or g has monomial content, from the gcd without it; else None."""
+    mf, mg = tuple(map(min, *f)), tuple(map(min, *g))
+    if not (any(mf) or any(mg)):
+        return None
+    m = tuple(map(min, mf, mg))
+    h, cf, cg = gcd(_shift(f, mf, sub), _shift(g, mg, sub))
+    cf, cg = _shift(cf, tuple(map(sub, mf, m)), add), _shift(cg, tuple(map(sub, mg, m)), add)
+    return _shift(h, m, add), cf, cg
+
+
+def _irreducible_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
+    """``gcd`` when f or g is irreducible by its degree 1 in a parameter, else None."""
+    for p, q in ((f, g), (g, f)):
+        columns = list(zip(*p))
+        if 1 in map(sum, columns) and not max(map(min, columns)):
+            dp, dq = _degrees(p), _degrees(q)
+            found = _divides(p, q) if all(map(le, dp, dq)) else None
+            if found is None:
+                return {(0,) * len(dp): 1}, f, g
+            return found if p is f else (found[0], found[2], found[1])
+    return None
 
 
 def gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
@@ -323,7 +370,7 @@ def gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
     elif len(f) == 1 or len(g) == 1:
         # a constant or a monomial: the gcd is the monomial of the least exponents
         h = {tuple(map(min, *f, *g)): 1}
-    elif (found := _divisor_gcd(f, g)) is not None:
+    elif found := _divisor_gcd(f, g) or _monomial_gcd(f, g) or _irreducible_gcd(f, g):
         return found
     elif coprime(f, g):
         h = {(0,) * len(next(iter(f))): 1}

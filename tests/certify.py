@@ -16,7 +16,7 @@ import sys
 
 from gbgeom import detect_planes, is_groebner, normal_form, parse_expression, reduced_basis
 
-from support import cyclic, katsura, stress_plane_system, stress_system
+from support import cyclic, katsura, pinned_13_5, stress_plane_system, stress_system
 
 # name -> (the system's (context, generator texts), elements of its reduced lex basis)
 SYSTEMS = {
@@ -37,6 +37,9 @@ SYSTEMS = {
     # the stress system cut by a plane: detection must find that plane, so
     # the plane checks can fail here, as they cannot on a system with none
     "stress-plane": (stress_plane_system, 3),
+    # the lex pair loop over Q(a, b): its parameter gcds split off monomial
+    # contents, settle irreducible inputs and run GCDHEU
+    "pinned-13-5": (pinned_13_5, 4),
 }
 
 

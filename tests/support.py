@@ -150,6 +150,19 @@ def stress_plane_system():
     return ctx, ["x^2/a^2 + y^2/b^2 + z^2/c^2 - 1", "x^2 + y^2 - a*x", "x + y + z - c"]
 
 
+def pinned_13_5():
+    """The benchmark's pinned heavy pair ``pinned-13-5`` over Q(a, b), written out.
+
+    Its lex pair loop runs the parameter gcd's monomial split, irreducible
+    input and GCDHEU.
+    """
+    ctx = VarContext(XYZ, ("a", "b"))
+    return ctx, [
+        "b*z^2 + a^2*x*z + (a - b)*x^2 + (a - b)*z + a*y",
+        "(a - b)*y^2 + a*x*z + a*x^2 - z - y",
+    ]
+
+
 def parsed(case):
     """The generators of a (context, texts) case such as ``katsura(n)``, parsed."""
     ctx, polys = case

@@ -214,6 +214,18 @@ HAND_MADE_GCDS = {
     # a^2 + a and a^2 + a + 2 are even at every integer, so every image gcd
     # is twice the image of a + b
     "image gcds with extra content": (A + B, A * A + A, A * A + A + 2),
+    "a common monomial times a common binomial": (A * A * B * (A * B + 2), A + B + 1, B * B - A),
+    "a monomial content on one side only": (A + B * B + 1, A * B, A - B + 2),
+    # linear in a, which one term holds, so irreducible; its multiple has
+    # fewer terms, so the divisibility shortcut does not try it as a divisor
+    "a linear input divides the other": (A * B + B**4 - B**3 + B * B - B + 1, ONE, B + 1),
+    # b(ab + b^2 + 3) is linear in a; ab + b^2 + 3 does not divide the other
+    # input over b, so the gcd is b
+    "a linear input does not divide the other": (
+        B,
+        A * B + B * B + 3,
+        A * A + A * B - B * B * 3 + 2,
+    ),
 }
 
 
@@ -235,15 +247,24 @@ def test_heuristic_gcd_of_hand_made_inputs(name):
 
 
 # "divisibility" is the whole gcd, whose shortcut takes every pair in which
-# one input divides the other; "heuristic" turns the shortcut off, so GCDHEU
-# takes those pairs too; "remainder sequence" turns both off.
-GCD_ROUTES = ["divisibility", "heuristic", "remainder sequence"]
+# one input divides the other; "heuristic" turns the shortcut off, so the
+# monomial split, the irreducible input and GCDHEU take those pairs too;
+# "heuristic alone" also turns the monomial split and the irreducible input
+# off, so GCDHEU takes every pair the coprimality proof leaves open;
+# "remainder sequence" turns all of them off.
+GCD_ROUTES = ["divisibility", "heuristic", "heuristic alone", "remainder sequence"]
+
+
+STEPS_OFF = {
+    "heuristic": ("_divisor_gcd",),
+    "heuristic alone": ("_divisor_gcd", "_monomial_gcd", "_irreducible_gcd"),
+}
 
 
 def take_route(route, request, monkeypatch):
-    if route == "heuristic":
-        monkeypatch.setattr(intgcd, "_divisor_gcd", lambda f, g: None)
-    elif route == "remainder sequence":
+    for step in STEPS_OFF.get(route, ()):
+        monkeypatch.setattr(intgcd, step, lambda f, g: None)
+    if route == "remainder sequence":
         request.getfixturevalue("remainder_sequence")
 
 
@@ -356,6 +377,57 @@ def test_divisibility_shortcut_when_the_value_at_the_point_is_zero():
     multiple = integer_part((A - VA) * (B + 2))
     assert _divisor_gcd(divisor, multiple) == (divisor, {(0, 0): 1}, integer_part(B + 2))
     assert _divisor_gcd(multiple, divisor) == (divisor, integer_part(B + 2), {(0, 0): 1})
+
+
+# The monomial split and the irreducible input: exact steps that take no
+# modular image.  These hand-made pairs need nothing else.
+SETTLED_BY_STRUCTURE = [
+    "a monomial content on one side only",
+    "a linear input divides the other",
+    "a linear input does not divide the other",
+]
+_irreducible_gcd = intgcd._irreducible_gcd
+
+
+@pytest.mark.parametrize("name", SETTLED_BY_STRUCTURE)
+def test_structure_steps_take_no_modular_image(name, monkeypatch):
+    def refuse(*inputs):
+        raise AssertionError("a modular image was taken")
+
+    monkeypatch.setattr(intgcd, "coprime", refuse)
+    monkeypatch.setattr(intgcd, "common_divisor", refuse)
+    g, cp, cq = HAND_MADE_GCDS[name]
+    f, g_int = integer_part(g * cp), integer_part(g * cq)
+    h, cf, cg = intgcd.gcd(f, g_int)
+    assert h == integer_part(g)
+    assert product(h, cf) == f and product(h, cg) == g_int
+
+
+def test_irreducible_input_when_its_value_at_the_point_is_zero(monkeypatch):
+    divisions = []
+    exact_quotient = intgcd._exact_quotient
+    monkeypatch.setattr(
+        intgcd, "_exact_quotient", lambda f, h: divisions.append(h) or exact_quotient(f, h)
+    )
+    one = {(0, 0): 1}
+    irreducible = integer_part(A - VA)
+    multiple = integer_part((A - VA) * (B + 2))
+    cofactor = integer_part(B + 2)
+    assert _irreducible_gcd(irreducible, multiple) == (irreducible, one, cofactor)
+    assert _irreducible_gcd(multiple, irreducible) == (irreducible, cofactor, one)
+    # a b - VA VB vanishes at the point too, so only the exact division decides
+    other = integer_part(A * B - VA * VB)
+    assert _irreducible_gcd(irreducible, other) == (one, irreducible, other)
+    assert len(divisions) == 3
+    # a^2 + 1 does not vanish there, so a - VA cannot divide it
+    assert _irreducible_gcd(irreducible, integer_part(A * A + 1))[0] == one
+    assert len(divisions) == 3
+
+
+def test_irreducible_input_has_no_monomial_content():
+    # a b + a is linear in b, which one term holds, but a divides it: the
+    # gcd with (a + 2)(b + 1) is b + 1, neither input nor 1
+    assert _irreducible_gcd(integer_part(A * B + A), integer_part((A + 2) * (B + 1))) is None
 
 
 def test_param_poly_lcm():
