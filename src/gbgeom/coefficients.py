@@ -438,10 +438,9 @@ class ParamFraction:
             return ParamFraction.zero(self.params)
         content = math.gcd(*num.values())
         num = _quo_int(num, content)
-        if not is_constant(h):
-            # Henrici's rule: num is coprime to e1 (f1 and e2 are) and to e2, so
-            # it can share factors only with h, and gcd(num, h) is all that cancels
-            _, num, h = gcd(num, h)
+        # Henrici's rule: num is coprime to e1 (f1 and e2 are) and to e2, so it
+        # can share factors only with h, and gcd(num, h) is all that cancels
+        _, num, h = gcd(num, h)
         return _canonical(self.params, scale * content, num, _mul_add({}, _mul_add({}, e1, e2), h))
 
     def __radd__(self, other) -> "ParamFraction":

@@ -230,6 +230,17 @@ class SectionReport:
         return out
 
 
+def _y_section(a, b, d, h, beta):
+    """The section y = beta: its discriminant and the two parts of its line slopes.
+
+    The lines are x = (z - h)(d beta^2 +- sqrt(delta))/(b^2 h) with
+    delta = (b^2 - beta^2)(a^2 b^2 - d^2 beta^2); this returns delta, d beta^2
+    and b^2 h, on any values with + - *, rationals or context coefficients.
+    """
+    delta = (b * b - beta * beta) * (a * a * b * b - d * d * beta * beta)
+    return delta, d * beta * beta, b * b * h
+
+
 def axis_section(params: ConoidParams, axis: str, value) -> SectionReport:
     """Classify the section by a plane parallel to a coordinate plane.
 
@@ -263,14 +274,11 @@ def axis_section(params: ConoidParams, axis: str, value) -> SectionReport:
         if value != h:
             return SectionReport(axis, value, "cubic-curve", curve=curve)
         return SectionReport(axis, value, "degenerate-locus", curve=curve, strip_bounds=strip)
-    beta = value
-    delta = (b * b - beta * beta) * (a * a * b * b - d * d * beta * beta)
+    delta, num, den = _y_section(a, b, d, h, value)
     if delta < 0:
         return SectionReport(
             axis, value, "empty", curve=curve, discriminant=delta, strip_bounds=strip
         )
-    num = d * beta * beta
-    den = b * b * h
     if delta == 0:
         lines = (SectionLine(0, num, den, delta, h),)
         kind = "double-line"
@@ -295,7 +303,7 @@ def verify_section_lines(params: ConoidParams, beta) -> bool:
     ctx = params.context(extra_vars=("s",), extra_params=extra)
     a, b, d, h = params.coefficients(ctx)
     beta_c = ctx.coefficient(beta if symbolic_beta else _rational(beta))
-    delta = (b * b - beta_c * beta_c) * (a * a * b * b - d * d * beta_c * beta_c)
+    delta, num, den = _y_section(a, b, d, h, beta_c)
     lifted = _lifted(delta)
     if lifted.is_constant() and lifted.constant_value() < 0:
         raise ValueError("the section plane misses the surface: negative discriminant")
@@ -305,9 +313,9 @@ def verify_section_lines(params: ConoidParams, beta) -> bool:
     relation = s**2 - ctx.constant(delta)
     slice_poly = substitute(surface, "y", ctx.constant(beta_c))
     zh = z - ctx.constant(h)
-    inv = 1 / (b * b * h)
+    inv = 1 / den
     for sign in (1, -1):
-        line = (zh * (ctx.constant(d * beta_c * beta_c) + s.scale(sign))).scale(inv)
+        line = (zh * (ctx.constant(num) + s.scale(sign))).scale(inv)
         if normal_form(substitute(slice_poly, "x", line), (relation,)):
             return False
     return True

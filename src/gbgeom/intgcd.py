@@ -5,18 +5,17 @@ from the classes that use it; ``integer_primitive`` turns nonzero Fraction
 terms into such a dict and the rational it was scaled by.  ``gcd`` takes two
 primitive polynomials and returns their gcd, primitive with a positive
 leading coefficient, together with both cofactors, so a caller that cancels
-the gcd divides nothing again.  Every answer is proven: after the zero,
-constant and monomial shortcuts, ``_divisor_gcd`` settles the pairs in which
-one input divides the other with one exact division, tried only when the
-degrees and term counts allow it and the values at a fixed point divide;
-``_monomial_gcd`` splits off the inputs' monomial contents, whose gcd is the
-monomial of their least exponents; ``_irreducible_gcd`` settles the pairs in
-which an input is irreducible because it has degree 1 in a parameter that
-only one of its terms contains, so the gcd is that input or 1; ``coprime``
-proves most other pairs coprime from modular images; the heuristic gcd
-GCDHEU (``common_divisor``) finds a common divisor and its cofactors, which
-counts when a cofactor is constant or ``coprime`` proves the cofactors
-coprime; anything else runs the primitive remainder sequence over Z.
+the gcd divides nothing again.  It is one ladder, and each step that decides
+returns its own answer: a zero input; a constant input, whose gcd is 1;
+``_monomial_gcd``, which splits off the inputs' monomial contents (a single
+term is all content), so every later step sees inputs with none;
+``_divisor_gcd``, which settles the pairs in which one input divides the
+other, or is irreducible by its degree 1 in a parameter, with at most one
+exact division per ordered pair; ``coprime``, which proves most other pairs
+coprime from modular images; the heuristic gcd GCDHEU (``common_divisor``),
+which counts when a cofactor is constant or ``coprime`` proves the cofactors
+coprime; and the primitive remainder sequence over Z.  Every answer is
+proven, never assumed.
 """
 
 from __future__ import annotations
@@ -123,6 +122,11 @@ def is_constant(f: dict) -> bool:
     return len(f) == 1 and not any(next(iter(f)))
 
 
+def _constant(like: dict, c: int = 1) -> dict:
+    """The constant c, in the parameters of the nonzero polynomial like."""
+    return {(0,) * len(next(iter(like))): c}
+
+
 def _exact_quotient(f: dict, h: dict) -> dict | None:
     """f / h over Z when h divides f exactly, else None."""
     lead = max(h)
@@ -190,7 +194,7 @@ def common_divisor(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
     content = math.gcd(*f.values(), *g.values())
     f, g = _quo_int(f, content), _quo_int(g, content)
     if is_constant(f) or is_constant(g):
-        return {(0,) * len(next(iter(f))): content}, f, g
+        return _constant(f, content), f, g
     index = max(i for exps in (*f, *g) for i, e in enumerate(exps) if e)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(_HEURISTIC_POINTS):
@@ -257,7 +261,7 @@ def _content_in(f: dict, index: int) -> dict:
 
 
 def _remainder_sequence(f: dict, g: dict) -> dict:
-    """gcd(f, g) for primitive f and g, neither a constant nor a monomial."""
+    """gcd(f, g) for primitive f and g, neither constant."""
     index = min(i for exps in (*f, *g) for i, e in enumerate(exps) if e)
     contents = [_content_in(f, index), _content_in(g, index)]
     f, g = map(_exact_quotient, (f, g), contents)
@@ -276,10 +280,36 @@ def _remainder_sequence(f: dict, g: dict) -> dict:
     return _primitive(_mul_add({}, gcd(*contents)[0], f))
 
 
-# The divisibility shortcut.  Often one input already divides the other, and
-# one exact division proves it.  It is tried only when the degree bounds and
-# the term counts allow it, and only after the values of both inputs at the
-# fixed point divide as integers, as they must when the polynomials do.
+# The exact steps before any modular image.  A monomial x^m_f that divides f
+# is prime to every polynomial that no variable divides, so gcd(f, g) is x^m,
+# m = min(m_f, m_g), times the gcd of f / x^m_f and g / x^m_g.  That split is
+# the ladder's invariant: no later step sees an input with monomial content.
+# On such inputs an input p of degree 1 in a parameter t, with t in one term
+# only, is irreducible: a factor free of t divides the coefficient of t, a
+# monomial, so it is a unit, and the gcd of p and q is p or 1.  Any other
+# input may still divide the other one, when the degree bounds and the term
+# counts allow it.  Either way one exact division decides, tried only after
+# the values of both inputs at the fixed point divide as integers, as they
+# must when the polynomials do.
+
+
+def _shift(f: dict, m: tuple, op) -> dict:
+    """f times the monomial x^m with op add, f over it with op sub."""
+    return {tuple(map(op, e, m)): c for e, c in f.items()} if any(m) else f
+
+
+def _monomial_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
+    """``gcd`` when f or g has monomial content, from the gcd without it; else None."""
+    mf, mg = tuple(map(min, zip(*f))), tuple(map(min, zip(*g)))
+    if not (any(mf) or any(mg)):
+        return None
+    m = tuple(map(min, mf, mg))
+    if len(f) == 1 or len(g) == 1:
+        # a single term is all content, so the gcd without the contents is 1
+        return {m: 1}, _shift(f, m, sub), _shift(g, m, sub)
+    h, cf, cg = gcd(_shift(f, mf, sub), _shift(g, mg, sub))
+    cf, cg = _shift(cf, tuple(map(sub, mf, m)), add), _shift(cg, tuple(map(sub, mg, m)), add)
+    return _shift(h, m, add), cf, cg
 
 
 def _value(f: dict) -> int:
@@ -304,56 +334,25 @@ def _divides(d: dict, m: dict) -> tuple[dict, dict, dict] | None:
     content = math.gcd(*d.values()) * (1 if d[max(d)] > 0 else -1)
     if content != 1:
         quotient = {e: c * content for e, c in quotient.items()}
-    return _quo_int(d, content), {(0,) * len(next(iter(d))): content}, quotient
+    return _quo_int(d, content), _constant(d, content), quotient
 
 
 def _divisor_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
-    """``gcd`` when one input divides the other, else None."""
+    """``gcd`` when an input divides the other or is irreducible, else None.
+
+    Each input is tried once as the divisor, when the degree bounds allow it
+    and it has no more terms than the other or is irreducible; an
+    irreducible input that does not divide the other leaves the gcd 1.
+    """
     df, dg = _degrees(f), _degrees(g)
-    if len(f) <= len(g) and all(map(le, df, dg)):
-        return _divides(f, g)
-    if len(g) <= len(f) and all(map(le, dg, df)):
-        found = _divides(g, f)
-        return found and (found[0], found[2], found[1])
-    return None
-
-
-# Two exact steps for the pairs the divisibility shortcut leaves open.  A
-# monomial x^m_f that divides f is prime to every polynomial no variable
-# divides, so gcd(f, g) is x^m, m = min(m_f, m_g), times the gcd of f / x^m_f
-# and g / x^m_g.  And an input p with no monomial content that has degree 1
-# in a parameter t, with t in one term only, is irreducible: a factor free of
-# t divides the coefficient of t, a monomial, so it is a monomial or a unit.
-# The gcd of p and q is then p or 1, and the degree bounds, the values at the
-# fixed point and one exact division decide which.
-
-
-def _shift(f: dict, m: tuple, op) -> dict:
-    """f times the monomial x^m with op add, f over it with op sub."""
-    return {tuple(map(op, e, m)): c for e, c in f.items()} if any(m) else f
-
-
-def _monomial_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
-    """``gcd`` when f or g has monomial content, from the gcd without it; else None."""
-    mf, mg = tuple(map(min, *f)), tuple(map(min, *g))
-    if not (any(mf) or any(mg)):
-        return None
-    m = tuple(map(min, mf, mg))
-    h, cf, cg = gcd(_shift(f, mf, sub), _shift(g, mg, sub))
-    cf, cg = _shift(cf, tuple(map(sub, mf, m)), add), _shift(cg, tuple(map(sub, mg, m)), add)
-    return _shift(h, m, add), cf, cg
-
-
-def _irreducible_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
-    """``gcd`` when f or g is irreducible by its degree 1 in a parameter, else None."""
-    for p, q in ((f, g), (g, f)):
-        columns = list(zip(*p))
-        if 1 in map(sum, columns) and not max(map(min, columns)):
-            dp, dq = _degrees(p), _degrees(q)
-            found = _divides(p, q) if all(map(le, dp, dq)) else None
-            if found is None:
-                return {(0,) * len(dp): 1}, f, g
-            return found if p is f else (found[0], found[2], found[1])
+    for p, q, dp, dq in ((f, g, df, dg), (g, f, dg, df)):
+        irreducible = 1 in map(sum, zip(*p))
+        if (irreducible or len(p) <= len(q)) and all(map(le, dp, dq)):
+            found = _divides(p, q)
+            if found is not None:
+                return found if p is f else (found[0], found[2], found[1])
+        if irreducible:
+            return _constant(f), f, g
     return None
 
 
@@ -367,18 +366,14 @@ def gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
         return {}, {}, {}
     if not (f and g):
         h = _primitive(f or g)
-    elif len(f) == 1 or len(g) == 1:
-        # a constant or a monomial: the gcd is the monomial of the least exponents
-        h = {tuple(map(min, *f, *g)): 1}
-    elif found := _divisor_gcd(f, g) or _monomial_gcd(f, g) or _irreducible_gcd(f, g):
+    elif is_constant(f) or is_constant(g):
+        return _constant(f), f, g
+    elif found := _monomial_gcd(f, g) or _divisor_gcd(f, g):
         return found
     elif coprime(f, g):
-        h = {(0,) * len(next(iter(f))): 1}
+        return _constant(f), f, g
+    elif found := _heuristic_gcd(f, g):
+        return found
     else:
-        found = _heuristic_gcd(f, g)
-        if found is not None:
-            return found
         h = _remainder_sequence(f, g)
-    if is_constant(h):
-        return h, f, g
     return h, _exact_quotient(f, h), _exact_quotient(g, h)

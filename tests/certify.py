@@ -30,9 +30,9 @@ SYSTEMS = {
     # its lex numerators reach 6,683 bits: a slip in the integer
     # elimination's scaling or content removal would show here
     "katsura-6": (lambda: katsura(6), 7),
-    # FGLM over Q(a, b, c): its elimination runs the parameter gcd's
-    # divisibility shortcut, heuristic and Henrici addition; in three
-    # variables, so its planes are read off the grevlex basis too
+    # FGLM over Q(a, b, c): its elimination runs the parameter gcd's divisor
+    # step, heuristic and Henrici addition; in three variables, so its planes
+    # are read off the grevlex basis too
     "stress": (stress_system, 3),
     # the stress system cut by a plane: detection must find that plane, so
     # the plane checks can fail here, as they cannot on a system with none

@@ -2,9 +2,9 @@
 
 Collects the acceptance-suite outcomes and prints one line per criterion at
 the end of the run, so the pinned regression set is auditable at a glance.
-The ``remainder_sequence`` fixture turns the divisibility shortcut, the
-monomial split, the irreducible input and the heuristic gcd off, so the gcd
-tests that take it reach the remainder sequence over Z.
+The ``remainder_sequence`` fixture turns the monomial split, the divisor
+step and the heuristic gcd off, so every parameter gcd that the constant step
+and the coprimality proof leave open reaches the remainder sequence over Z.
 """
 
 import pytest
@@ -46,6 +46,6 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def remainder_sequence(monkeypatch):
-    """Every parameter gcd the coprimality proof leaves open runs the remainder sequence."""
-    for step in ("_divisor_gcd", "_monomial_gcd", "_irreducible_gcd", "_heuristic_gcd"):
+    """Gcds the constant step and the coprimality proof leave open run the remainder sequence."""
+    for step in ("_monomial_gcd", "_divisor_gcd", "_heuristic_gcd"):
         monkeypatch.setattr(intgcd, step, lambda f, g: None)

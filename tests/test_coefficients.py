@@ -217,7 +217,7 @@ HAND_MADE_GCDS = {
     "a common monomial times a common binomial": (A * A * B * (A * B + 2), A + B + 1, B * B - A),
     "a monomial content on one side only": (A + B * B + 1, A * B, A - B + 2),
     # linear in a, which one term holds, so irreducible; its multiple has
-    # fewer terms, so the divisibility shortcut does not try it as a divisor
+    # fewer terms, which only an irreducible input is tried as a divisor of
     "a linear input divides the other": (A * B + B**4 - B**3 + B * B - B + 1, ONE, B + 1),
     # b(ab + b^2 + 3) is linear in a; ab + b^2 + 3 does not divide the other
     # input over b, so the gcd is b
@@ -246,18 +246,18 @@ def test_heuristic_gcd_of_hand_made_inputs(name):
     assert h == integer_part(g)
 
 
-# "divisibility" is the whole gcd, whose shortcut takes every pair in which
-# one input divides the other; "heuristic" turns the shortcut off, so the
-# monomial split, the irreducible input and GCDHEU take those pairs too;
-# "heuristic alone" also turns the monomial split and the irreducible input
-# off, so GCDHEU takes every pair the coprimality proof leaves open;
-# "remainder sequence" turns all of them off.
+# "divisibility" is the whole gcd, whose divisor step takes every pair in
+# which one input divides the other or is irreducible; "heuristic" turns that
+# step off, so the monomial split and GCDHEU take those pairs too; "heuristic
+# alone" also turns the monomial split off, so GCDHEU takes every pair the
+# constant step and the coprimality proof leave open; "remainder sequence"
+# turns GCDHEU off as well.
 GCD_ROUTES = ["divisibility", "heuristic", "heuristic alone", "remainder sequence"]
 
 
 STEPS_OFF = {
     "heuristic": ("_divisor_gcd",),
-    "heuristic alone": ("_divisor_gcd", "_monomial_gcd", "_irreducible_gcd"),
+    "heuristic alone": ("_divisor_gcd", "_monomial_gcd"),
 }
 
 
@@ -292,6 +292,61 @@ def test_gcd_returns_primitive_gcd_and_cofactors(route, request, monkeypatch):
             assert h * ParamPoly(p.params, cofactor.items()) == ParamPoly(p.params, whole.items())
 
 
+@pytest.mark.parametrize(
+    "route, step", [("heuristic alone", "common_divisor"), ("remainder sequence", "_remainder_sequence")]
+)
+def test_each_route_reaches_its_step(route, step, request, monkeypatch):
+    take_route(route, request, monkeypatch)
+    calls = []
+    inner = getattr(intgcd, step)
+    monkeypatch.setattr(intgcd, step, lambda f, g: calls.append((f, g)) or inner(f, g))
+    for name, (g, cp, cq) in HAND_MADE_GCDS.items():
+        inputs = integer_part(g * cp), integer_part(g * cq)
+        # no hand-made input is a constant or a single term, so the constant
+        # step and the monomial split leave every pair open
+        assert min(map(len, inputs)) > 1, name
+        calls.clear()
+        intgcd.gcd(*inputs)
+        assert calls, name
+
+
+# Constant and single-term inputs, with negative signs and monomial content
+# on either side: the constant step and the monomial split answer them with
+# no division and no modular image.
+CONSTANTS = [ONE, -ONE]
+SINGLE_TERMS = [A * A * B, -(A * B * B * B), B, -A]
+OTHERS = [A * B * (A + B + 1), -(B * B * (A - 2)), A + B + 1, B - A * A]
+
+
+def test_constant_and_single_term_inputs_take_no_division_or_modular_image(
+    request, monkeypatch
+):
+    pairs = []
+    for p in CONSTANTS + SINGLE_TERMS:
+        for q in CONSTANTS + SINGLE_TERMS + OTHERS:
+            pairs += [(integer_part(p), integer_part(q)), (integer_part(q), integer_part(p))]
+    request.getfixturevalue("remainder_sequence")
+    expected = [intgcd.gcd(f, g) for f, g in pairs]
+    monkeypatch.undo()  # the whole gcd again
+
+    def refuse(*inputs):
+        raise AssertionError("a division or a modular image was taken")
+
+    for step in ("_exact_quotient", "coprime", "common_divisor"):
+        monkeypatch.setattr(intgcd, step, refuse)
+    splits = []
+    monomial_gcd = intgcd._monomial_gcd
+    monkeypatch.setattr(
+        intgcd, "_monomial_gcd", lambda f, g: splits.append((f, g)) or monomial_gcd(f, g)
+    )
+    for (f, g), want in zip(pairs, expected):
+        splits.clear()
+        assert intgcd.gcd(f, g) == want
+        if not (intgcd.is_constant(f) or intgcd.is_constant(g)):
+            # a single term is all content, so the monomial split takes it
+            assert splits == [(f, g)]
+
+
 def test_heuristic_gcd_needs_coprime_cofactors(monkeypatch):
     g = A + B
     cases = [
@@ -312,15 +367,20 @@ def test_heuristic_gcd_needs_coprime_cofactors(monkeypatch):
             assert proven[0] == integer_part(expected)
 
 
-# The divisibility shortcut: one input divides the other.
+# The divisor step: one input divides the other, or is irreducible.
 _divisor_gcd = intgcd._divisor_gcd
 
 
 def random_integer_poly(rng, params=AB):
-    """A seeded integer polynomial with two to four terms, so no monomial shortcut takes it."""
+    """A seeded integer polynomial with two to four terms and no monomial content.
+
+    The monomial split runs before the divisor step, so the step's inputs
+    have no monomial content, and an input linear in a parameter that one
+    term holds is irreducible.
+    """
     while True:
         p = integer_part(random_nonzero_param_poly(rng, params, max_terms=4, max_degree=2))
-        if len(p) > 1:
+        if len(p) > 1 and not any(map(min, zip(*p))):
             return p
 
 
@@ -332,13 +392,13 @@ def product(f, g):
     return intgcd._mul_add({}, f, g)
 
 
-def test_divisibility_shortcut_matches_the_remainder_sequence(remainder_sequence):
+def test_divisor_step_matches_the_remainder_sequence(remainder_sequence):
     rng = random.Random(16)
     cases = []
     while len(cases) < 120:
         g, k = random_integer_poly(rng), random_integer_poly(rng)
         if len(product(g, k)) < len(g):
-            continue  # the shortcut tries no divisor with more terms
+            continue  # the step tries no divisor with more terms unless it is irreducible
         content, sign = rng.choice([1, 2, 6]), rng.choice([1, -1])
         # a divisor with a negative lead or integer content, in both orders
         divisor, multiple = times(g, sign * content), times(product(g, k), content)
@@ -357,36 +417,66 @@ def test_divisibility_shortcut_matches_the_remainder_sequence(remainder_sequence
         assert math.gcd(*h.values()) == 1 and h[max(h)] > 0
 
 
-def test_divisibility_shortcut_rejects_by_the_value_at_the_point(monkeypatch):
+def count_divisions(monkeypatch):
+    """The divisors of every exact division from now on, which still runs."""
     divisions = []
+    exact_quotient = intgcd._exact_quotient
     monkeypatch.setattr(
-        intgcd, "_exact_quotient", lambda f, h: divisions.append((f, h)) or None
+        intgcd, "_exact_quotient", lambda f, h: divisions.append(h) or exact_quotient(f, h)
     )
+    return divisions
+
+
+def test_divisor_step_rejects_by_the_value_at_the_point(monkeypatch):
+    divisions = count_divisions(monkeypatch)
+    one = {(0, 0): 1}
     # the degree bounds allow a + 1 to divide a^2 + 2, but VA^2 + 2 leaves
-    # the remainder 3 on division by VA + 1
-    assert _divisor_gcd(integer_part(A + 1), integer_part(A * A + 2)) is None
+    # the remainder 3 on division by VA + 1; a + 1 is irreducible, so the
+    # gcd is 1
+    f, g = integer_part(A + 1), integer_part(A * A + 2)
+    assert _divisor_gcd(f, g) == (one, f, g)
     # a - VA vanishes at the point, and a^2 + 1 does not
-    assert _divisor_gcd(integer_part(A - VA), integer_part(A * A + 1)) is None
+    f, g = integer_part(A - VA), integer_part(A * A + 1)
+    assert _divisor_gcd(f, g) == (one, f, g)
+    # a^2 + 2 is not irreducible by its degrees, and VA^3 + 5 leaves a
+    # remainder on division by VA^2 + 2, so the step decides nothing
+    assert _divisor_gcd(integer_part(A * A + 2), integer_part(A * A * A + 5)) is None
     assert divisions == []
 
 
-def test_divisibility_shortcut_when_the_value_at_the_point_is_zero():
-    divisor = integer_part(A - VA)
-    # both vanish at the point, so only the exact division decides
-    assert _divisor_gcd(divisor, integer_part(A * B - VA * VB)) is None
+def test_divisor_step_when_the_value_at_the_point_is_zero(monkeypatch):
+    divisions = count_divisions(monkeypatch)
+    one = {(0, 0): 1}
+    irreducible = integer_part(A - VA)
     multiple = integer_part((A - VA) * (B + 2))
-    assert _divisor_gcd(divisor, multiple) == (divisor, {(0, 0): 1}, integer_part(B + 2))
-    assert _divisor_gcd(multiple, divisor) == (divisor, integer_part(B + 2), {(0, 0): 1})
+    cofactor = integer_part(B + 2)
+    assert _divisor_gcd(irreducible, multiple) == (irreducible, one, cofactor)
+    # the multiple has more terms and is not irreducible, so it is not tried
+    # as the divisor, and a - VA is tried once
+    assert _divisor_gcd(multiple, irreducible) == (irreducible, cofactor, one)
+    # a b - VA VB vanishes at the point too, so only the exact division decides
+    other = integer_part(A * B - VA * VB)
+    assert _divisor_gcd(irreducible, other) == (one, irreducible, other)
+    assert len(divisions) == 3
+    # a^2 + 1 does not vanish there, so a - VA cannot divide it
+    assert _divisor_gcd(irreducible, integer_part(A * A + 1))[0] == one
+    assert len(divisions) == 3
 
 
-# The monomial split and the irreducible input: exact steps that take no
-# modular image.  These hand-made pairs need nothing else.
+def test_irreducible_input_has_no_monomial_content():
+    # a b + a is linear in b, which one term holds, but a divides it: the
+    # gcd with (a + 2)(b + 1) is b + 1, neither input nor 1
+    h, _, _ = intgcd.gcd(integer_part(A * B + A), integer_part((A + 2) * (B + 1)))
+    assert h == integer_part(B + 1)
+
+
+# The monomial split and the divisor step: exact steps that take no modular
+# image.  These hand-made pairs need nothing else.
 SETTLED_BY_STRUCTURE = [
     "a monomial content on one side only",
     "a linear input divides the other",
     "a linear input does not divide the other",
 ]
-_irreducible_gcd = intgcd._irreducible_gcd
 
 
 @pytest.mark.parametrize("name", SETTLED_BY_STRUCTURE)
@@ -401,33 +491,6 @@ def test_structure_steps_take_no_modular_image(name, monkeypatch):
     h, cf, cg = intgcd.gcd(f, g_int)
     assert h == integer_part(g)
     assert product(h, cf) == f and product(h, cg) == g_int
-
-
-def test_irreducible_input_when_its_value_at_the_point_is_zero(monkeypatch):
-    divisions = []
-    exact_quotient = intgcd._exact_quotient
-    monkeypatch.setattr(
-        intgcd, "_exact_quotient", lambda f, h: divisions.append(h) or exact_quotient(f, h)
-    )
-    one = {(0, 0): 1}
-    irreducible = integer_part(A - VA)
-    multiple = integer_part((A - VA) * (B + 2))
-    cofactor = integer_part(B + 2)
-    assert _irreducible_gcd(irreducible, multiple) == (irreducible, one, cofactor)
-    assert _irreducible_gcd(multiple, irreducible) == (irreducible, cofactor, one)
-    # a b - VA VB vanishes at the point too, so only the exact division decides
-    other = integer_part(A * B - VA * VB)
-    assert _irreducible_gcd(irreducible, other) == (one, irreducible, other)
-    assert len(divisions) == 3
-    # a^2 + 1 does not vanish there, so a - VA cannot divide it
-    assert _irreducible_gcd(irreducible, integer_part(A * A + 1))[0] == one
-    assert len(divisions) == 3
-
-
-def test_irreducible_input_has_no_monomial_content():
-    # a b + a is linear in b, which one term holds, but a divides it: the
-    # gcd with (a + 2)(b + 1) is b + 1, neither input nor 1
-    assert _irreducible_gcd(integer_part(A * B + A), integer_part((A + 2) * (B + 1))) is None
 
 
 def test_param_poly_lcm():
